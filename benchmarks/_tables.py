@@ -1,7 +1,7 @@
 """Helpers for benchmark table capture.
 
 Every benchmark regenerates one reproduced table and persists it under
-``results/`` (markdown + CSV) so EXPERIMENTS.md can be refreshed from the
+``results/`` (CSV + plain-text table) so EXPERIMENTS.md can be refreshed from the
 bench run. Benchmarks also assert the paper's qualitative shape — a bench
 run doubles as an integration check at full reproduction scale.
 """

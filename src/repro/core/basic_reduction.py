@@ -14,6 +14,7 @@ from typing import Iterable
 
 from repro.core.sieve_adn import SieveADN
 from repro.tdn.influence import CallCounter
+from repro.tdn.lifetimes import checked_batch
 
 
 class BasicReduction:
@@ -35,9 +36,10 @@ class BasicReduction:
         """Process one time step's batch of ``(u, v, lifetime)`` edges and
         return the solution ``(S_t, tracked value)`` for this step.
 
-        Lifetimes are clipped to ``L`` (the model's upper bound).
+        Lifetimes are clipped to ``L`` (the model's upper bound). Raises
+        ``ValueError``, changing nothing, if a lifetime is not positive.
         """
-        batch = [(u, v, min(l, self.L)) for u, v, l in edges]
+        batch = [(u, v, min(l, self.L)) for u, v, l in checked_batch(edges)]
         # Group per instance: A_i gets edges with lifetime >= i.
         for i, inst in enumerate(self._instances, start=1):
             sub = [(u, v) for u, v, l in batch if l >= i]

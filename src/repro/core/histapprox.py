@@ -28,6 +28,7 @@ from typing import Iterable
 from repro.core.sieve_adn import SieveADN
 from repro.tdn.graph import TDNGraph
 from repro.tdn.influence import CallCounter
+from repro.tdn.lifetimes import checked_batch
 
 
 class HistApprox:
@@ -49,7 +50,9 @@ class HistApprox:
 
     def step(self, edges: Iterable[tuple[int, int, int]]) -> tuple[frozenset[int], float]:
         """Process one time step's ``(u, v, lifetime)`` batch; return
-        ``(S_t, tracked value)`` = output of ``A_{x_1}``."""
+        ``(S_t, tracked value)`` = output of ``A_{x_1}``. Raises
+        ``ValueError``, changing nothing, if a lifetime is not positive."""
+        edges = checked_batch(edges)
         self._t += 1
         self.master.advance_to(self._t)
         # Group by (clipped) lifetime; process groups in ascending l.

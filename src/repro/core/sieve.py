@@ -17,10 +17,19 @@ work no implementation does).
 A submodularity shortcut skips (without billing) thresholds that the
 node's singleton value already fails: ``δ_S(v) ≤ f({v}) < θ`` implies
 rejection, so no evaluation is needed. This changes no outcome.
+
+Hot-path invariants: the keys of ``sets`` are contiguous and ascending
+(Δ only rises, so new exponents are appended above and dropped ones cut
+below), and ``_open`` lists, in the same order, the ``(i, θ_i)`` of every
+set still below ``k`` nodes. A full set never changes again and every θ
+above the first that fails ``f({v})`` fails too, so :meth:`process_node`
+walks ``_open`` and stops there — the same evaluations the full walk
+bills, without visiting the no-ops.
 """
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 from repro.tdn.influence import InfluenceOracle
 
@@ -40,6 +49,8 @@ class ThresholdSieve:
         self._log1e = math.log1p(eps)
         # exponent i -> (S_i, tracked value of S_i)
         self.sets: dict[int, tuple[frozenset[int], float]] = {}
+        self._open: list[tuple[int, float]] = []  # (i, θ_i) with |S_i| < k
+        self._best: tuple[frozenset[int], float] | None = None  # unrefreshed max
 
     def theta(self, i: int) -> float:
         """Threshold associated with exponent ``i``."""
@@ -62,24 +73,31 @@ class ThresholdSieve:
             return
         self.delta = singleton
         valid = self._exponent_range()
-        self.sets = {i: sv for i, sv in self.sets.items() if i in valid}
-        for i in valid:
-            if i not in self.sets:
-                self.sets[i] = (frozenset(), 0.0)
+        kept = {i: sv for i, sv in self.sets.items() if i in valid}
+        new = [i for i in valid if i not in kept]
+        self.sets = kept | dict.fromkeys(new, (frozenset(), 0.0))
+        self._open = [o for o in self._open if o[0] in valid] + [(i, self.theta(i)) for i in new]
+        self._best = None
 
     def process_node(self, v: int) -> None:
         """Feed one (possibly repeated) node through every sieve."""
         f_v = self.oracle.spread((v,))  # 1 oracle call
         self._update_thresholds(f_v)
-        for i, (s, val) in self.sets.items():
-            if len(s) >= self.k or v in s:
-                continue
-            th = self.theta(i)
+        filled = False
+        for i, th in self._open:
             if f_v < th:
-                continue  # submodularity shortcut, no oracle call
+                break  # submodularity shortcut, no oracle call
+            s, val = self.sets[i]
+            if v in s:
+                continue
             gain = self.oracle.marginal_gain(s, v)  # 1 oracle call
             if gain >= th:
-                self.sets[i] = (s | {v}, val + gain)
+                s = s | {v}
+                self.sets[i] = (s, val + gain)
+                self._best = None
+                filled |= len(s) >= self.k
+        if filled:
+            self._open = [o for o in self._open if len(self.sets[o[0]][0]) < self.k]
 
     def best(self, refresh: bool = False) -> tuple[frozenset[int], float]:
         """Highest-value candidate set (``S_{θ*}``, Alg. 1 line 12).
@@ -89,10 +107,10 @@ class ThresholdSieve:
         ``argmax_θ f_t(S_θ)`` the paper's query performs; tracked values
         are updated in place). With ``refresh=False`` the tracked values
         are used unbilled — HistApprox's ReduceRedundancy consults outputs
-        after every group and no implementation re-evaluates there.
+        after every group and no implementation re-evaluates there; the
+        max is cached until the next write to ``sets``. Ties go to the
+        lowest exponent.
         """
-        if not self.sets:
-            return frozenset(), 0.0
         if refresh:
             # Neighbouring thresholds often hold the *same* set; evaluate
             # each distinct set once (one oracle call per distinct set).
@@ -103,12 +121,16 @@ class ThresholdSieve:
                 if s not in vals:
                     vals[s] = float(self.oracle.spread(s))
                 self.sets[i] = (s, vals[s])
-        s, val = max(self.sets.values(), key=lambda sv: sv[1])
-        return s, val
+            self._best = None
+        if self._best is None:
+            self._best = max(self.sets.values(), key=itemgetter(1), default=(frozenset(), 0.0))
+        return self._best
 
     def copy(self, oracle: InfluenceOracle) -> "ThresholdSieve":
         """Clone the sieve state onto a new oracle (HistApprox Alg.3 l.14)."""
         c = ThresholdSieve(self.k, self.eps, oracle)
         c.delta = self.delta
         c.sets = dict(self.sets)  # values are immutable (frozenset, float)
+        c._open = list(self._open)
+        c._best = self._best
         return c

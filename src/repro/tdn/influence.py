@@ -10,10 +10,12 @@ A :class:`CallCounter` can be shared by many oracles so an algorithm that
 owns several SieveADN instances (BasicReduction, HistApprox) reports one
 aggregate count.
 
-The oracle memoizes the reached set of a *solution set* between calls, so
-sieve/greedy marginal gains are a single BFS from the candidate plus a set
-union — still billed as exactly one oracle call, identically for every
-algorithm.
+The oracle memoizes the reached set of every evaluated set, keyed by the
+set and stamped with ``graph.version`` (any mutation invalidates it). A
+marginal gain ``δ_S(v)`` is therefore a set difference of two cached
+reaches: ``S``'s, and ``{v}``'s, which the billed singleton ``spread``
+that precedes every sieve/greedy gain filled — still billed as exactly
+one oracle call, identically for every algorithm.
 """
 from __future__ import annotations
 
@@ -55,15 +57,14 @@ class InfluenceOracle:
     def marginal_gain(self, base: frozenset[int], v: int) -> int:
         """``f_t(S ∪ {v}) − f_t(S)`` — one oracle call.
 
-        Uses the cached reach of ``base`` (recomputed if the graph mutated
-        since) and a BFS from ``v`` only.
+        Uses the cached reaches of ``base`` and ``{v}`` (each recomputed
+        only if the graph mutated since it was cached).
         """
         self.counter.calls += 1
         r_base = self._reach(base)
         if v in r_base:
             return 0
-        r_v = self.graph.reachable((v,))
-        return len(r_v - r_base)
+        return len(self._reach(frozenset((v,))) - r_base)
 
     def _reach(self, s: frozenset[int]) -> set[int]:
         hit = self._cache.get(s)

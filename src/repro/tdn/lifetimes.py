@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 from pyspark.sql import Column
@@ -21,6 +22,17 @@ from pyspark.sql import functions as F
 
 #: Sentinel lifetime for addition-only networks (edges never expire).
 INFINITE = 2**62
+
+
+def checked_batch(edges: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """One step's ``(u, v, lifetime)`` edges as a list, after checking that
+    every lifetime is positive. Trackers call it before touching any state,
+    so a rejected batch leaves them exactly as they were."""
+    batch = list(edges)
+    for u, v, l in batch:
+        if l <= 0:
+            raise ValueError(f"lifetime must be positive, got {l} for edge ({u}, {v})")
+    return batch
 
 
 @dataclass

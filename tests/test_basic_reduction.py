@@ -48,6 +48,21 @@ class TestMechanics:
         with pytest.raises(ValueError):
             BasicReduction(2, 0.1, L=0)
 
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_nonpositive_lifetime_rejected_without_state_change(self, bad):
+        stream = random_stream(4, L=6)
+        seen, clean = BasicReduction(2, 0.1, L=6), BasicReduction(2, 0.1, L=6)
+        for _, u, v, l in stream[:10]:
+            seen.step([(u, v, l)])
+            clean.step([(u, v, l)])
+        with pytest.raises(ValueError, match="lifetime must be positive"):
+            seen.step([(5, 6, 2), (2, 3, bad)])
+        assert seen.oracle_calls == clean.oracle_calls
+        assert seen.head_edge_count() == clean.head_edge_count()
+        for _, u, v, l in stream[10:]:
+            assert seen.step([(u, v, l)]) == clean.step([(u, v, l)])
+        assert seen.oracle_calls == clean.oracle_calls
+
     def test_solution_after_expiry_is_empty(self):
         br = BasicReduction(2, 0.1, L=3)
         br.step([(1, 2, 1)])

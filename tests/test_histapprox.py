@@ -62,6 +62,23 @@ class TestMechanics:
         ha.step([(1, 2, 100)])
         assert ha.indices == [3]  # created at 4, shifted to 3
 
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_nonpositive_lifetime_rejected_without_state_change(self, bad):
+        stream = random_stream(4, L=8)
+        seen, clean = HistApprox(2, 0.1, L=8), HistApprox(2, 0.1, L=8)
+        for _, u, v, l in stream[:10]:
+            seen.step([(u, v, l)])
+            clean.step([(u, v, l)])
+        with pytest.raises(ValueError, match="lifetime must be positive"):
+            seen.step([(5, 6, 2), (2, 3, bad)])
+        assert seen.indices == clean.indices
+        assert seen.master.now == clean.master.now
+        assert seen.oracle_calls == clean.oracle_calls
+        for _, u, v, l in stream[10:]:
+            assert seen.step([(u, v, l)]) == clean.step([(u, v, l)])
+            assert seen.indices == clean.indices
+        assert seen.oracle_calls == clean.oracle_calls
+
     def test_shift_terminates_index_one(self):
         ha = HistApprox(2, 0.1, L=3)
         ha.step([(1, 2, 1)])  # creates index 1, terminated at shift

@@ -58,6 +58,28 @@ class TestOracle:
         g.add_edge(2, 7)
         assert o.spread((0,)) == 4
 
+    def test_marginal_gain_reuses_singleton_reach(self, monkeypatch):
+        """After the billed ``spread({v})`` the gain runs no BFS and
+        bills exactly one call."""
+        g = chain_graph(6)
+        o = InfluenceOracle(g)
+        base = frozenset((4,))
+        o.spread(base)
+        o.spread((1,))
+        bfs = []
+        orig = DiGraph.reachable
+        monkeypatch.setattr(DiGraph, "reachable", lambda self, s: bfs.append(s) or orig(self, s))
+        calls = o.oracle_calls
+        assert o.marginal_gain(base, 1) == 3
+        assert o.oracle_calls == calls + 1 and bfs == []
+
+    def test_singleton_reach_not_reused_after_mutation(self):
+        g = chain_graph(2)
+        o = InfluenceOracle(g)
+        assert o.spread((0,)) == 2
+        g.add_edge(1, 2)
+        assert o.marginal_gain(frozenset((5,)), 0) == 3
+
     @pytest.mark.parametrize("seed", range(5))
     def test_submodularity_and_monotonicity(self, seed):
         rng = np.random.default_rng(seed)
