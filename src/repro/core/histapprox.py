@@ -92,14 +92,11 @@ class HistApprox:
             self.instances[l] = SieveADN(self.k, self.eps, self.counter)
         else:
             # Fig. 6(c): copy the successor and back-fill the alive edges
-            # with residual lifetime in [l, l*).
+            # with residual lifetime in [l, l*). Lifetimes are clipped to L,
+            # so every master edge is on the expiry schedule the range reads.
             succ = self.indices[pos]
             inst = self.instances[succ].copy()
-            fill = [
-                (u, v)
-                for u, v, rl in self.master.edges_with_lifetime()
-                if l <= rl < succ
-            ]
+            fill = self.master.edges_with_residual(l, succ)
             if fill:
                 inst.process_batch(fill)
             self.instances[l] = inst

@@ -124,8 +124,9 @@ class TDNGraph:
         g.add_edges(batch, t)    # batch = [(u, v, lifetime), ...]
 
     ``edges_with_lifetime()`` exposes the residual lifetime of every alive
-    edge — HistApprox needs edges with residual lifetime in ``[l, l*)``
-    when seeding a copied instance (Alg. 3 line 15).
+    edge; ``edges_with_residual(lo, hi)`` reads just the edges with residual
+    lifetime in ``[lo, hi)``, which HistApprox needs when seeding a copied
+    instance (Alg. 3 line 15).
     """
 
     def __init__(self) -> None:
@@ -173,6 +174,16 @@ class TDNGraph:
                 extra = mult - n_scheduled.get((u, v), 0)
                 out.extend([(u, v, INFINITE)] * extra)
         return out
+
+    def edges_with_residual(self, lo: int, hi: int) -> list[Edge]:
+        """Alive edges with residual lifetime in ``[lo, hi)`` as ``(u, v)``,
+        one per multiplicity, read in one pass over the expiry schedule.
+
+        Infinite-lifetime edges are never listed. Otherwise the result is
+        ``edges_with_lifetime()`` filtered to that range, in the same order.
+        """
+        lo, hi = self.now + lo, self.now + hi
+        return [(u, v) for e, u, v in self._expiry if lo <= e < hi]
 
     @property
     def n_edges(self) -> int:

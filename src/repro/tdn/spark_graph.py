@@ -9,6 +9,7 @@ and a DuckDB ``WITH RECURSIVE`` query via :func:`repro.oracle.assert_equivalent`
 """
 from __future__ import annotations
 
+from functools import reduce
 from typing import Iterable
 
 import pandas as pd
@@ -54,6 +55,55 @@ def alive_at(edges: DataFrame, t: int) -> DataFrame:
     return edges.where((F.col("tau") <= F.lit(t)) & (F.lit(t) < F.col("expiry")))
 
 
+def _bfs_levels(
+    spark: SparkSession, edges: DataFrame, seeds: Iterable[int], max_iter: int
+) -> list[tuple[DataFrame, int]]:
+    """Level-synchronous BFS: the cached, fully computed frames of the
+    seeds and of every non-empty level, with their row counts.
+
+    Each level joins the previous one to the edge list and anti-joins the
+    union of all levels so far, so the levels are disjoint and their counts
+    sum to ``f_t(S)``. Counting a level computes every partition of its
+    cache, so releasing the edge list (or, later, the levels) never makes a
+    cached frame that read them recompute. The loop exits on an empty level
+    (or ``max_iter`` as a safety bound — reachability converges in at most
+    |V| levels). The caller releases the returned frames.
+    """
+    seed_list = sorted(set(int(s) for s in seeds))
+    if not seed_list:
+        return []
+    arcs = edges.select(F.col("u"), F.col("v")).distinct().cache()
+    frontier = spark.createDataFrame(pd.DataFrame({"node": seed_list})).cache()
+    levels = [(frontier, len(seed_list))]
+    try:
+        for _ in range(max_iter):
+            reached = reduce(DataFrame.unionByName, (lv for lv, _ in levels))
+            nxt = (
+                arcs.join(frontier, arcs.u == frontier.node)
+                .select(F.col("v").alias("node"))
+                .distinct()
+                .join(reached, on="node", how="left_anti")
+                .cache()
+            )
+            n = nxt.count()
+            if n == 0:
+                nxt.unpersist()
+                break
+            levels.append((nxt, n))
+            frontier = nxt
+    except BaseException:
+        _release(levels)
+        raise
+    finally:
+        arcs.unpersist()
+    return levels
+
+
+def _release(levels: list[tuple[DataFrame, int]]) -> None:
+    for lv, _ in levels:
+        lv.unpersist()
+
+
 def reachable_nodes(
     spark: SparkSession,
     edges: DataFrame,
@@ -63,37 +113,28 @@ def reachable_nodes(
     """Distinct nodes reachable from ``seeds`` (paths of length >= 0) as a
     one-column DataFrame ``node`` — the distributed ``f_t`` evaluator.
 
-    Level-synchronous BFS: ``frontier`` is joined to the edge list, new
-    nodes are appended to ``reached``. Both are cached per level and the
-    loop exits on an empty frontier (or ``max_iter`` as a safety bound —
-    reachability converges in at most |V| levels).
+    The result is the union of the BFS levels, cached and computed before
+    the levels are released; the caller owns that cache and may
+    ``unpersist()`` it when done.
     """
-    seed_list = sorted(set(int(s) for s in seeds))
-    if not seed_list:
+    levels = _bfs_levels(spark, edges, seeds, max_iter)
+    if not levels:
         return spark.createDataFrame([], "node long")
-    arcs = edges.select(F.col("u"), F.col("v")).distinct().cache()
-    reached = spark.createDataFrame(pd.DataFrame({"node": seed_list})).cache()
-    frontier = reached
+    if len(levels) == 1:
+        return levels[0][0]  # nothing beyond the seeds
     try:
-        for _ in range(max_iter):
-            nxt = (
-                arcs.join(frontier, arcs.u == frontier.node)
-                .select(F.col("v").alias("node"))
-                .distinct()
-                .join(reached, on="node", how="left_anti")
-                .cache()
-            )
-            if nxt.isEmpty():
-                break
-            reached = reached.unionByName(nxt).cache()
-            frontier = nxt
+        reached = reduce(DataFrame.unionByName, (lv for lv, _ in levels)).cache()
+        reached.count()
         return reached
     finally:
-        arcs.unpersist()
+        _release(levels)
 
 
 def influence_spread(
     spark: SparkSession, edges: DataFrame, seeds: Iterable[int], max_iter: int = 64
 ) -> int:
-    """``f_t(S)`` = |reachable set| via the distributed BFS."""
-    return reachable_nodes(spark, edges, seeds, max_iter).count()
+    """``f_t(S)`` = |reachable set| via the distributed BFS: the sum of the
+    disjoint level counts. Leaves nothing cached."""
+    levels = _bfs_levels(spark, edges, seeds, max_iter)
+    _release(levels)
+    return sum(n for _, n in levels)

@@ -193,6 +193,29 @@ class TestTDNGraph:
         assert g.edges_with_lifetime() == [(1, 2, INFINITE)]
 
     @pytest.mark.parametrize("seed", range(6))
+    def test_edges_with_residual_is_lifetime_filter(self, seed):
+        """The range query equals the residual-lifetime filter of
+        ``edges_with_lifetime()`` as a list (same edges, multiplicities and
+        order), with multi-edges, infinite lifetimes and clock gaps."""
+        rng = np.random.default_rng(seed)
+        L = 9
+        g, t = TDNGraph(), 0
+        for _ in range(25):
+            t += int(rng.integers(1, 4))  # gaps of up to two skipped steps
+            g.advance_to(t)
+            batch = []
+            for _ in range(int(rng.integers(0, 4))):
+                u, v = (int(x) for x in rng.integers(0, 5, 2))
+                l = INFINITE if rng.random() < 0.1 else int(rng.integers(1, L + 1))
+                batch.append((u, v, l))
+            g.add_edges(batch, t)
+            alive = g.edges_with_lifetime()
+            for lo in range(1, L + 1):
+                for hi in range(lo + 1, L + 2):
+                    want = [(u, v) for u, v, rl in alive if lo <= rl < hi]
+                    assert g.edges_with_residual(lo, hi) == want, (t, lo, hi)
+
+    @pytest.mark.parametrize("seed", range(6))
     def test_alive_set_matches_bruteforce_over_time(self, seed):
         rng = np.random.default_rng(seed)
         events = []  # (t, u, v, l)

@@ -1,4 +1,6 @@
 """Unit tests for HistApprox (repro.core.histapprox)."""
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from repro.core.basic_reduction import BasicReduction
 from repro.core.histapprox import HistApprox
 from repro.tdn.graph import TDNGraph
 from repro.tdn.influence import brute_force_opt
+from repro.tdn.lifetimes import GeometricLifetime
 
 
 def random_stream(seed: int, T: int = 30, n_nodes: int = 14, L: int = 8):
@@ -78,6 +81,26 @@ class TestMechanics:
             assert seen.step([(u, v, l)]) == clean.step([(u, v, l)])
             assert seen.indices == clean.indices
         assert seen.oracle_calls == clean.oracle_calls
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_instance_graph_is_master_residual_slice(self, seed):
+        """After every step, the instance at index i holds exactly the
+        master's alive edges with residual lifetime >= i + 1 (the shift has
+        already lowered i for the next step), compared as a multiset."""
+        L = 12
+        rng = np.random.default_rng(seed)
+        lifetimes = GeometricLifetime(0.15, L, seed=seed).sample(120)
+        ha = HistApprox(2, 0.1, L=L)
+        for l in lifetimes:
+            u, v = (int(x) for x in rng.integers(0, 10, 2))
+            ha.step([(u, v, int(l))])
+            alive = ha.master.edges_with_lifetime()
+            for i, inst in ha.instances.items():
+                held = Counter(
+                    {(u, v): m for u, nbrs in inst.graph.out.items() for v, m in nbrs.items()}
+                )
+                want = Counter((u, v) for u, v, rl in alive if rl >= i + 1)
+                assert held == want, (i, ha.indices)
 
     def test_shift_terminates_index_one(self):
         ha = HistApprox(2, 0.1, L=3)

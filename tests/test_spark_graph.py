@@ -104,3 +104,37 @@ class TestDistributedReachability:
         assert influence_spread(spark, alive_at(e, 2), [1]) == 3
         assert influence_spread(spark, alive_at(e, 21), [1]) == 1
         assert influence_spread(spark, alive_at(e, 21), [3]) == 2
+
+
+def persisted_rdds(spark) -> int:
+    return spark.sparkContext._jsc.getPersistentRDDs().size()
+
+
+class TestCacheRelease:
+    """The BFS caches one frame per level; none may outlive the call."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_influence_spread_leaves_nothing_cached(self, spark, seed):
+        pdf = random_interactions(seed, n=80, n_nodes=20)
+        e = tdn_edges(spark, pdf, ConstantLifetime(1000).spark_column())
+        g = DiGraph()
+        for u, v in zip(pdf["u"], pdf["v"]):
+            g.add_edge(int(u), int(v))
+        seeds = sorted(g.nodes())[:2]
+        before = persisted_rdds(spark)
+        assert influence_spread(spark, e, seeds) == len(g.reachable(seeds))
+        assert persisted_rdds(spark) == before
+
+    def test_reachable_nodes_caches_only_its_computed_result(self, spark):
+        pdf = pd.DataFrame({"u": [1, 2, 3, 4], "v": [2, 3, 4, 5], "t": [1, 1, 1, 1]})
+        e = tdn_edges(spark, pdf, ConstantLifetime(10).spark_column())
+        before = persisted_rdds(spark)
+        reach = reachable_nodes(spark, e, [1])
+        assert persisted_rdds(spark) == before + 1
+        # Fully computed before its levels were released, so later actions
+        # read the cache instead of rerunning the level chain.
+        cached = spark._jsparkSession.sharedState().cacheManager().lookupCachedData(reach._jdf)
+        assert cached.get().cachedRepresentation().cacheBuilder().isCachedColumnBuffersLoaded()
+        assert sorted(r["node"] for r in reach.collect()) == [1, 2, 3, 4, 5]
+        reach.unpersist()
+        assert persisted_rdds(spark) == before

@@ -1,38 +1,9 @@
-"""Tests for the data generators (repro.synth_data): provided TPC-H-lite
-tables and the interaction-stream extensions."""
+"""Tests for the interaction-stream generators (repro.synth_data)."""
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro import synth_data as sd
-
-
-class TestTpchLite:
-    @pytest.mark.parametrize("gen", [sd.lineitem, sd.orders, sd.customer, sd.part])
-    def test_deterministic(self, spark, gen):
-        a = gen(spark, sf=0.001, seed=7).toPandas()
-        b = gen(spark, sf=0.001, seed=7).toPandas()
-        pd.testing.assert_frame_equal(a, b)
-
-    def test_lineitem_ranges(self, spark):
-        li = sd.lineitem(spark, sf=0.001).toPandas()
-        assert li["l_quantity"].between(1, 50).all()
-        assert li["l_discount"].between(0, 0.1).all()
-
-    def test_scale_factor_scales_rows(self, spark):
-        small = sd.orders(spark, sf=0.001).count()
-        large = sd.orders(spark, sf=0.002).count()
-        assert large == 2 * small
-
-    def test_zipf_keys_skewed(self, spark):
-        z = sd.zipf_keys(spark, n=20_000, n_keys=100, alpha=1.2).toPandas()
-        counts = z["k"].value_counts()
-        assert counts.iloc[0] > 5 * counts.iloc[-1]
-
-    def test_uniform_keys_cover(self, spark):
-        u = sd.uniform_keys(spark, n=5_000, n_keys=50).toPandas()
-        assert set(u["k"]) <= set(range(1, 51))
-        assert u["k"].nunique() == 50
 
 
 STREAMS = [
