@@ -11,12 +11,17 @@ from pyspark.sql import SparkSession
 
 
 def get_spark(app: str) -> SparkSession:
-    return (
+    """The jobs' session, with one shuffle partition per core: the jobs'
+    frames are small, and each partition costs a task per stage."""
+    spark = (
         SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .getOrCreate()
     )
+    spark.conf.set(
+        "spark.sql.shuffle.partitions", str(spark.sparkContext.defaultParallelism)
+    )
+    return spark
 
 
 def emit(title: str, df: pd.DataFrame) -> None:

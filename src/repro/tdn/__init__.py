@@ -9,8 +9,8 @@ lifetime ``l in {1..L}``; at time ``t`` the edge is alive iff
 - :mod:`repro.tdn.graph` — driver-side multigraph with scheduled expiry and
   BFS reachability.
 - :mod:`repro.tdn.influence` — counting influence-spread oracle ``f_t``.
-- :mod:`repro.tdn.spark_graph` — edges-DataFrame TDN with iterative
-  semi-join BFS influence spread.
+- :mod:`repro.tdn.spark_graph` — edges-DataFrame TDN with a
+  level-synchronous BFS influence spread (frontier on the driver).
 """
 
 from repro.tdn.graph import TDNGraph

@@ -2,14 +2,15 @@
 
 ``G_t`` lives as a DataFrame ``(u, v, tau, lifetime, expiry)``; alive-ness
 at ``t`` is the TDN condition ``tau <= t < tau + lifetime``. Influence
-spread ``f_t(S)`` is computed with iterative semi-join BFS: each level is
-one Catalyst plan (join + distinct + anti-join), the driver loops until
-the frontier is empty. Checked in tests against both the driver-side BFS
-and a DuckDB ``WITH RECURSIVE`` query via :func:`repro.oracle.assert_equivalent`.
+spread ``f_t(S)`` is computed with a level-synchronous BFS in the manner
+of Pregel: the frontier and the reached set stay on the driver, and each
+level is one Spark job that scans the cached arc list for arcs out of the
+frontier and collects their heads. ``influence_spread`` leaves nothing
+cached. Checked in tests against both the driver-side BFS and a DuckDB
+``WITH RECURSIVE`` query via :func:`repro.oracle.assert_equivalent`.
 """
 from __future__ import annotations
 
-from functools import reduce
 from typing import Iterable
 
 import pandas as pd
@@ -55,53 +56,28 @@ def alive_at(edges: DataFrame, t: int) -> DataFrame:
     return edges.where((F.col("tau") <= F.lit(t)) & (F.lit(t) < F.col("expiry")))
 
 
-def _bfs_levels(
-    spark: SparkSession, edges: DataFrame, seeds: Iterable[int], max_iter: int
-) -> list[tuple[DataFrame, int]]:
-    """Level-synchronous BFS: the cached, fully computed frames of the
-    seeds and of every non-empty level, with their row counts.
-
-    Each level joins the previous one to the edge list and anti-joins the
-    union of all levels so far, so the levels are disjoint and their counts
-    sum to ``f_t(S)``. Counting a level computes every partition of its
-    cache, so releasing the edge list (or, later, the levels) never makes a
-    cached frame that read them recompute. The loop exits on an empty level
-    (or ``max_iter`` as a safety bound — reachability converges in at most
-    |V| levels). The caller releases the returned frames.
-    """
-    seed_list = sorted(set(int(s) for s in seeds))
-    if not seed_list:
-        return []
-    arcs = edges.select(F.col("u"), F.col("v")).distinct().cache()
-    frontier = spark.createDataFrame(pd.DataFrame({"node": seed_list})).cache()
-    levels = [(frontier, len(seed_list))]
+def _reach(edges: DataFrame, seeds: Iterable[int], max_iter: int) -> set[int]:
+    """Level-synchronous BFS with the frontier and the reached set on the
+    driver: each level is one Spark job that scans the cached arc list for
+    arcs out of the frontier (sent to the tasks as an ``InSet`` literal)
+    and collects their heads. Stops on an empty level, or after
+    ``max_iter`` levels as a safety bound (reachability converges in at
+    most |V| levels). Releases the arc list before it returns."""
+    reached = {int(s) for s in seeds}
+    if not reached:
+        return reached
+    arcs = edges.select("u", "v").cache()
     try:
+        frontier = set(reached)
         for _ in range(max_iter):
-            reached = reduce(DataFrame.unionByName, (lv for lv, _ in levels))
-            nxt = (
-                arcs.join(frontier, arcs.u == frontier.node)
-                .select(F.col("v").alias("node"))
-                .distinct()
-                .join(reached, on="node", how="left_anti")
-                .cache()
-            )
-            n = nxt.count()
-            if n == 0:
-                nxt.unpersist()
+            rows = arcs.where(F.col("u").isin(frontier)).select("v").collect()
+            frontier = {r[0] for r in rows} - reached
+            if not frontier:
                 break
-            levels.append((nxt, n))
-            frontier = nxt
-    except BaseException:
-        _release(levels)
-        raise
+            reached |= frontier
     finally:
         arcs.unpersist()
-    return levels
-
-
-def _release(levels: list[tuple[DataFrame, int]]) -> None:
-    for lv, _ in levels:
-        lv.unpersist()
+    return reached
 
 
 def reachable_nodes(
@@ -113,28 +89,18 @@ def reachable_nodes(
     """Distinct nodes reachable from ``seeds`` (paths of length >= 0) as a
     one-column DataFrame ``node`` — the distributed ``f_t`` evaluator.
 
-    The result is the union of the BFS levels, cached and computed before
-    the levels are released; the caller owns that cache and may
-    ``unpersist()`` it when done.
+    The result is cached and fully loaded; the caller owns that cache and
+    may ``unpersist()`` it when done.
     """
-    levels = _bfs_levels(spark, edges, seeds, max_iter)
-    if not levels:
-        return spark.createDataFrame([], "node long")
-    if len(levels) == 1:
-        return levels[0][0]  # nothing beyond the seeds
-    try:
-        reached = reduce(DataFrame.unionByName, (lv for lv, _ in levels)).cache()
-        reached.count()
-        return reached
-    finally:
-        _release(levels)
+    nodes = sorted(_reach(edges, seeds, max_iter))
+    reached = spark.createDataFrame([(n,) for n in nodes], "node long").cache()
+    reached.count()
+    return reached
 
 
 def influence_spread(
     spark: SparkSession, edges: DataFrame, seeds: Iterable[int], max_iter: int = 64
 ) -> int:
-    """``f_t(S)`` = |reachable set| via the distributed BFS: the sum of the
-    disjoint level counts. Leaves nothing cached."""
-    levels = _bfs_levels(spark, edges, seeds, max_iter)
-    _release(levels)
-    return sum(n for _, n in levels)
+    """``f_t(S)`` = |reachable set| via the distributed BFS. Leaves nothing
+    cached."""
+    return len(_reach(edges, seeds, max_iter))

@@ -105,13 +105,76 @@ class TestDistributedReachability:
         assert influence_spread(spark, alive_at(e, 21), [1]) == 1
         assert influence_spread(spark, alive_at(e, 21), [3]) == 2
 
+    @pytest.mark.parametrize("seeds", [[4], [5], [1, 4], [2, 5]])
+    def test_multi_edges_and_seeds_without_out_arcs(self, spark, seeds):
+        """Parallel arcs reach the driver once per copy; a seed with no
+        out-arcs (4 is a sink, 5 only a head) reaches just itself."""
+        pairs = [(1, 2), (1, 2), (1, 2), (1, 3), (2, 3), (2, 3), (3, 4), (6, 5), (6, 5)]
+        pdf = pd.DataFrame({"u": [u for u, _ in pairs], "v": [v for _, v in pairs], "t": 1})
+        e = tdn_edges(spark, pdf, ConstantLifetime(10).spark_column())
+        g = DiGraph()
+        for u, v in pairs:
+            g.add_edge(u, v)
+        want = g.reachable(seeds)
+        assert influence_spread(spark, e, seeds) == len(want)
+        reach = reachable_nodes(spark, e, seeds)
+        assert {r["node"] for r in reach.collect()} == want
+        reach.unpersist()
+
+    def test_chain_deeper_than_max_iter_is_truncated(self, spark):
+        """``max_iter`` bounds the levels past the seeds: nodes at distance
+        <= max_iter are reached, the rest of the chain is not."""
+        pdf = pd.DataFrame({"u": range(9), "v": range(1, 10), "t": 1})
+        e = tdn_edges(spark, pdf, ConstantLifetime(10).spark_column())
+        assert influence_spread(spark, e, [0], max_iter=3) == 4
+        reach = reachable_nodes(spark, e, [0], max_iter=3)
+        assert sorted(r["node"] for r in reach.collect()) == [0, 1, 2, 3]
+        reach.unpersist()
+        # The whole chain takes nine levels: a level's plan must not grow
+        # with the levels before it.
+        assert influence_spread(spark, e, [0]) == 10
+
+
+def bfs_iterations(g: DiGraph, seeds) -> int:
+    """BFS levels until the frontier empties, the empty one included."""
+    seen, frontier, n = set(seeds), set(seeds), 0
+    while frontier:
+        n += 1
+        frontier = {v for u in frontier for v in g.out.get(u, ())} - seen
+        seen |= frontier
+    return n
+
+
+class TestJobsPerLevel:
+    """The frontier stays on the driver: one Spark job per BFS level."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_influence_spread_runs_one_job_per_level(self, spark, seed):
+        pdf = random_interactions(seed, n=60, n_nodes=30)
+        e = tdn_edges(spark, pdf, ConstantLifetime(1000).spark_column())
+        g = DiGraph()
+        for u, v in zip(pdf["u"], pdf["v"]):
+            g.add_edge(int(u), int(v))
+        seeds = sorted(g.nodes())[:2]
+        sc = spark.sparkContext
+        group = f"spread-{seed}"
+        sc.setJobGroup(group, "influence_spread")
+        try:
+            assert influence_spread(spark, e, seeds) == len(g.reachable(seeds))
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        # Job starts reach the status tracker through the listener bus.
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        n_jobs = len(sc.statusTracker().getJobIdsForGroup(group))
+        assert 1 <= n_jobs <= bfs_iterations(g, seeds) + 1
+
 
 def persisted_rdds(spark) -> int:
     return spark.sparkContext._jsc.getPersistentRDDs().size()
 
 
 class TestCacheRelease:
-    """The BFS caches one frame per level; none may outlive the call."""
+    """The BFS caches the arc list for the call; nothing may outlive it."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_influence_spread_leaves_nothing_cached(self, spark, seed):
