@@ -3,7 +3,7 @@ micro-batches and track influential nodes with HistApprox (DESIGN §3).
 
 Pipeline: synthetic stream -> parquet chunks -> file streaming source
 (``maxFilesPerTrigger=1``) -> ``foreachBatch`` -> lifetime assignment
-(Spark column on the batch) -> ``HistApprox.step`` per time step. Also
+-> ``HistApprox.step(edges, t)`` per event time ``t``. Also
 prints the event-time windowed distinct-influencee aggregation for the
 same stream (the windowed-aggregation path of the repro hint).
 """
@@ -18,7 +18,7 @@ import pandas as pd
 
 from repro.core.histapprox import HistApprox
 from repro.experiments.datasets import make_stream
-from repro.streaming.driver import replay_stream, write_stream_chunks
+from repro.streaming.driver import replay_stream, stream_steps, write_stream_chunks
 from repro.streaming.windowed_stats import windowed_influence_counts
 from repro.tdn.lifetimes import GeometricLifetime
 from repro.synth_data import interactions_df
@@ -32,11 +32,9 @@ def main(dataset: str = "brightkite", n_steps: int = 1000, k: int = 10):
     latest: dict = {"t": 0, "seeds": frozenset()}
 
     def on_batch(pdf: pd.DataFrame, batch_id: int) -> None:
-        pdf = pdf.copy()
-        pdf["l"] = lifetimes.sample(len(pdf))
-        for t, grp in pdf.groupby("t", sort=True):
-            seeds, _ = tracker.step(list(grp[["u", "v", "l"]].itertuples(index=False)))
-            latest["t"], latest["seeds"] = int(t), seeds
+        for t, edges in stream_steps(pdf.assign(l=lifetimes.sample(len(pdf)))):
+            seeds, _ = tracker.step(edges, t)
+            latest["t"], latest["seeds"] = t, seeds
 
     with tempfile.TemporaryDirectory() as d:
         write_stream_chunks(stream, os.path.join(d, "in"), n_chunks=20)

@@ -5,7 +5,9 @@ an arriving edge with (assigned) lifetime ``l`` is fed to instances
 ``A_1..A_l`` — so ``A_i`` has processed exactly the edges whose residual
 lifetime is ≥ i, and the head instance ``A_1`` has processed exactly the
 edges alive in ``G_t``. After the query the head expires, everything
-shifts left, and a fresh instance joins at the tail.
+shifts left, and a fresh instance joins at the tail. A step whose event
+time jumps by Δ > 1 first rotates out the heads of the Δ−1 steps that had
+no batch (at most ``L``), so over the jump ``min(Δ, L)`` heads expire.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from typing import Iterable
 
 from repro.core.sieve_adn import SieveADN
 from repro.tdn.influence import CallCounter
-from repro.tdn.lifetimes import checked_batch
+from repro.tdn.lifetimes import checked_step
 
 
 class BasicReduction:
@@ -27,27 +29,36 @@ class BasicReduction:
         self.eps = eps
         self.L = L
         self.counter = CallCounter()
-        # _instances[0] is A_1 ... _instances[L-1] is A_L.
+        # _instances[0] is A_1 ... _instances[L-1] is A_L; appending a fresh
+        # instance at the tail terminates the head.
         self._instances: deque[SieveADN] = deque(
-            SieveADN(k, eps, self.counter) for _ in range(L)
+            (SieveADN(k, eps, self.counter) for _ in range(L)), maxlen=L
         )
+        self._t = 0
 
-    def step(self, edges: Iterable[tuple[int, int, int]]) -> tuple[frozenset[int], float]:
-        """Process one time step's batch of ``(u, v, lifetime)`` edges and
-        return the solution ``(S_t, tracked value)`` for this step.
+    def step(
+        self, edges: Iterable[tuple[int, int, int]], t: int | None = None
+    ) -> tuple[frozenset[int], float]:
+        """Process the batch of ``(u, v, lifetime)`` edges that arrives at
+        event time ``t`` (None: the step after the previous one) and return
+        the solution ``(S_t, tracked value)`` for this step.
 
         Lifetimes are clipped to ``L`` (the model's upper bound). Raises
-        ``ValueError``, changing nothing, if a lifetime is not positive.
+        ``ValueError``, changing nothing, if a lifetime is not positive or
+        ``t`` is not after the previous step's.
         """
-        batch = [(u, v, min(l, self.L)) for u, v, l in checked_batch(edges)]
+        edges, t = checked_step(edges, self._t, t)
+        batch = [(u, v, min(l, self.L)) for u, v, l in edges]
+        if t - self._t > 1:
+            n = min(t - self._t - 1, self.L)
+            self._instances.extend(SieveADN(self.k, self.eps, self.counter) for _ in range(n))
+        self._t = t
         # Group per instance: A_i gets edges with lifetime >= i.
         for i, inst in enumerate(self._instances, start=1):
             sub = [(u, v) for u, v, l in batch if l >= i]
             if sub:
                 inst.process_batch(sub)
         solution = self._instances[0].solution(refresh=True)
-        # Shift: terminate head, append fresh tail instance.
-        self._instances.popleft()
         self._instances.append(SieveADN(self.k, self.eps, self.counter))
         return solution
 

@@ -13,7 +13,9 @@ instance outputs ``g_t(l)``:
   ``j > i``, the instances strictly between ``i`` and ``j`` are ε-redundant
   and are killed.
 - **Shift** (l.4-7): after the query, index 1 (if present) expires and all
-  surviving indices decrement.
+  surviving indices decrement. A step whose event time jumps by Δ > 1
+  first shifts by the Δ−1 steps that had no batch, so over the jump every
+  index ≤ Δ expires and the rest drop by Δ.
 
 A master :class:`TDNGraph` tracks ``G_t`` with residual lifetimes so the
 back-fill edge set ``{e ∈ E_t : l ≤ l_e < l*}`` is available; the master
@@ -28,7 +30,7 @@ from typing import Iterable
 from repro.core.sieve_adn import SieveADN
 from repro.tdn.graph import TDNGraph
 from repro.tdn.influence import CallCounter
-from repro.tdn.lifetimes import checked_batch
+from repro.tdn.lifetimes import checked_step
 
 
 class HistApprox:
@@ -43,18 +45,22 @@ class HistApprox:
         self.counter = CallCounter()
         self.indices: list[int] = []  # x_t, ascending
         self.instances: dict[int, SieveADN] = {}
-        self.master = TDNGraph()  # G_t with residual lifetimes
-        self._t = 0
+        self.master = TDNGraph()  # G_t with residual lifetimes; its clock is t
 
     # -- Alg. 3 main loop ---------------------------------------------------
 
-    def step(self, edges: Iterable[tuple[int, int, int]]) -> tuple[frozenset[int], float]:
-        """Process one time step's ``(u, v, lifetime)`` batch; return
-        ``(S_t, tracked value)`` = output of ``A_{x_1}``. Raises
-        ``ValueError``, changing nothing, if a lifetime is not positive."""
-        edges = checked_batch(edges)
-        self._t += 1
-        self.master.advance_to(self._t)
+    def step(
+        self, edges: Iterable[tuple[int, int, int]], t: int | None = None
+    ) -> tuple[frozenset[int], float]:
+        """Process the ``(u, v, lifetime)`` batch that arrives at event time
+        ``t`` (None: the step after the previous one); return ``(S_t,
+        tracked value)`` = output of ``A_{x_1}``. Raises ``ValueError``,
+        changing nothing, if a lifetime is not positive or ``t`` is not
+        after the previous step's."""
+        edges, t = checked_step(edges, self.master.now, t)
+        if t - self.master.now > 1:
+            self._shift(t - self.master.now - 1)
+        self.master.advance_to(t)
         # Group by (clipped) lifetime; process groups in ascending l.
         groups: dict[int, list[tuple[int, int, int]]] = {}
         for u, v, l in edges:
@@ -78,7 +84,7 @@ class HistApprox:
             self._create_instance(l)
         # The new batch joins G_t *after* instance creation so the
         # back-fill (which covers pre-existing edges) never double-feeds it.
-        self.master.add_edges(batch, self._t)
+        self.master.add_edges(batch, self.master.now)
         pairs = [(u, v) for u, v, _ in batch]
         for i in self.indices:
             if i <= l:
@@ -132,12 +138,11 @@ class HistApprox:
 
     # -- Shift --------------------------------------------------------------
 
-    def _shift(self) -> None:
-        if self.indices and self.indices[0] == 1:
-            del self.instances[1]
-            self.indices.pop(0)
-        self.instances = {l - 1: inst for l, inst in self.instances.items()}
-        self.indices = [l - 1 for l in self.indices]
+    def _shift(self, d: int = 1) -> None:
+        """Advance the indices by ``d`` steps: every index ≤ d expires and
+        the rest decrement by ``d``."""
+        self.instances = {l - d: inst for l, inst in self.instances.items() if l > d}
+        self.indices = [l - d for l in self.indices if l > d]
 
     # -- introspection ------------------------------------------------------
 

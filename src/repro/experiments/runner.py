@@ -1,17 +1,17 @@
 """Shared simulation loop for every experiment table.
 
 An experiment feeds one interaction per time step (paper §V-B) through a
-tracker and records, at query steps, the *externally scored* value of the
-tracker's solution — ``f_t(S)`` evaluated on a reference ``G_t`` that the
-runner maintains independently — plus the tracker's cumulative internal
-oracle calls. External scoring is never billed to any algorithm, so value
-comparisons are apples-to-apples across sieve, greedy, random, and the
-RR-set baselines.
+method — ``step(edges, t)`` on every step, ``query()`` on query steps —
+and records the *externally scored* value of the answer, ``f_t(S)`` on a
+reference ``G_t`` the runner keeps independently, plus the method's
+cumulative internal oracle calls. External scoring is never billed, so
+values compare apples-to-apples across sieve, greedy, random and RR-set
+baselines.
 """
 from __future__ import annotations
 
 import time
-from typing import Callable
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -24,7 +24,9 @@ from repro.rrset.dim import DIMIndex
 from repro.rrset.imm import imm_select
 from repro.rrset.rr import ICGraph
 from repro.rrset.timplus import tim_plus_select
+from repro.streaming.driver import stream_steps
 from repro.tdn.graph import TDNGraph
+from repro.tdn.influence import CallCounter
 from repro.tdn.lifetimes import GeometricLifetime
 
 
@@ -38,34 +40,117 @@ def assign_lifetimes(
 
 
 class _Reference:
-    """Independent ``G_t`` for scoring + the alive-interaction frame the
-    RR baselines derive IC probabilities from."""
+    """An independent ``G_t``, kept by ``step(edges, t)``; scores seed sets."""
 
     def __init__(self) -> None:
         self.tdn = TDNGraph()
 
-    def advance(self, t: int, batch: pd.DataFrame) -> tuple[pd.DataFrame, pd.DataFrame]:
-        """Apply one step; returns (added, removed) interaction frames."""
+    def step(self, edges: list[tuple[int, int, int]], t: int) -> list[tuple[int, int]]:
+        """Advance to ``t`` and add its edges; returns the expired pairs."""
         dropped = self.tdn.advance_to(t)
-        self.tdn.add_edges(batch[["u", "v", "l"]].itertuples(index=False), t)
-        added = batch[["u", "v"]]
-        removed = pd.DataFrame(dropped, columns=["u", "v"])
-        return added, removed
+        self.tdn.add_edges(edges, t)
+        return dropped
 
     def score(self, seeds) -> int:
         """Unbilled f_t(S) on the reference graph."""
-        if not seeds:
-            return 0
-        return len(self.tdn.g.reachable(seeds))
-
-    def alive_interactions(self) -> pd.DataFrame:
-        rows = [(u, v) for u, v, _ in self.tdn.edges_with_lifetime()]
-        return pd.DataFrame(rows, columns=["u", "v"])
+        return len(self.tdn.g.reachable(seeds)) if seeds else 0
 
 
-def _iter_steps(stream: pd.DataFrame):
-    for t, batch in stream.groupby("t", sort=True):
-        yield int(t), batch
+class _Tracker:
+    """HistApprox or BasicReduction: the step answers, the query returns it."""
+
+    def __init__(self, tracker) -> None:
+        self.tracker = tracker
+
+    def step(self, edges, t: int) -> None:
+        self.seeds, _ = self.tracker.step(edges, t)
+
+    def query(self) -> frozenset[int]:
+        return self.seeds
+
+    oracle_calls = property(lambda self: self.tracker.oracle_calls)
+    n_instances = property(lambda self: self.tracker.n_instances)
+
+
+class _Baseline(_Reference):
+    """A baseline answering from its own ``G_t``, kept by the same steps.
+    ``oracle_calls`` counts oracle calls, or RR sets sampled."""
+
+    n_instances = oracle_calls = 0
+
+    def __init__(self, k: int, eps: float, L: int, seed: int, rr_kwargs: dict) -> None:
+        super().__init__()
+        self.k, self.seed, self.rr_kwargs = k, seed, rr_kwargs
+
+    def ic_probabilities(self) -> pd.DataFrame:
+        """IC probabilities of the alive interactions (``u, v, x, p``)."""
+        alive = [(u, v) for u, v, _ in self.tdn.edges_with_lifetime()]
+        return ic_probabilities_pandas(pd.DataFrame(alive, columns=["u", "v"]))
+
+
+class _Greedy(_Baseline):
+    """Lazy greedy, rerun on ``G_t`` at every query."""
+
+    def query(self) -> frozenset[int]:
+        counter = CallCounter()
+        seeds, _ = lazy_greedy(self.tdn.g, self.k, counter)
+        self.oracle_calls += counter.calls
+        return seeds
+
+
+class _Random(_Baseline):
+    """``k`` uniform nodes of ``G_t``."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.rng = np.random.default_rng(self.seed + 17)
+
+    def query(self) -> frozenset[int]:
+        return random_solution(sorted(self.tdn.nodes()), self.k, self.rng)
+
+
+class _DIM(_Baseline):
+    """DIM's RR index, updated with each step's added and expired pairs."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        rr = self.rr_kwargs
+        self.index = DIMIndex(rr.get("beta", 32), self.seed, rr.get("max_sets", 2000))
+
+    def step(self, edges, t: int) -> None:
+        removed = super().step(edges, t)
+        self.index.update(self.ic_probabilities(), [(u, v) for u, v, _ in edges], removed)
+        self.oracle_calls = self.index.n_resampled
+
+    def query(self) -> frozenset[int]:
+        return self.index.query(self.k)
+
+
+class _StaticRR(_Baseline):
+    """IMM or TIM+ (``select``): a fresh RR sample of the IC graph per query."""
+
+    def __init__(self, select, *args) -> None:
+        super().__init__(*args)
+        self.select = select
+
+    def query(self) -> frozenset[int]:
+        graph = ICGraph(self.ic_probabilities())
+        seed = self.seed + self.tdn.now
+        seeds, used = self.select(graph, self.k, seed=seed, **self.rr_kwargs)
+        self.oracle_calls += used
+        return seeds
+
+
+#: algo -> factory(k, eps, L, seed, rr_kwargs)
+METHODS = {
+    "histapprox": lambda k, eps, L, seed, rr: _Tracker(HistApprox(k, eps, L)),
+    "basicreduction": lambda k, eps, L, seed, rr: _Tracker(BasicReduction(k, eps, L)),
+    "greedy": _Greedy,
+    "random": _Random,
+    "dim": _DIM,
+    "imm": partial(_StaticRR, imm_select),
+    "tim+": partial(_StaticRR, tim_plus_select),
+}
 
 
 def run_tracker(
@@ -79,78 +164,26 @@ def run_tracker(
     seed: int = 0,
     rr_kwargs: dict | None = None,
 ) -> pd.DataFrame:
-    """Run one tracker over a lifetimed stream (columns ``u, v, t, l``).
+    """Run one method over a lifetimed stream (columns ``u, v, t, l``).
 
-    ``algo`` ∈ {"histapprox", "basicreduction", "greedy", "random",
-    "dim", "imm", "tim+"}. Returns one row per query step:
+    ``algo`` ∈ :data:`METHODS`. Returns one row per query step:
     ``t, value, calls, n_instances, wall_s`` (calls are cumulative
-    internal oracle calls / RR-sets sampled; 0 for random).
+    internal oracle calls / RR-sets sampled; 0 for random). ``wall_s`` is
+    the cumulative time spent inside the method's steps and queries.
     """
-    rr_kwargs = dict(rr_kwargs or {})
+    try:
+        make = METHODS[algo]
+    except KeyError:
+        raise ValueError(f"unknown algo {algo!r}; pick from {sorted(METHODS)}") from None
+    method = make(k, eps, L, seed, rr_kwargs or {})
     ref = _Reference()
-    rng = np.random.default_rng(seed + 17)
-    records: list[dict] = []
-    t_start = time.perf_counter()
-
-    tracker = None
-    dim: DIMIndex | None = None
-    if algo == "histapprox":
-        tracker = HistApprox(k, eps, L)
-    elif algo == "basicreduction":
-        tracker = BasicReduction(k, eps, L)
-    elif algo == "dim":
-        dim = DIMIndex(
-            beta=rr_kwargs.pop("beta", 32),
-            seed=seed,
-            max_sets=rr_kwargs.pop("max_sets", 2000),
-        )
-    elif algo not in ("greedy", "random", "imm", "tim+"):
-        raise ValueError(f"unknown algo {algo!r}")
-
-    for t, batch in _iter_steps(stream):
-        added, removed = ref.advance(t, batch)
-        edges = list(batch[["u", "v", "l"]].itertuples(index=False))
-
-        solution: frozenset[int] = frozenset()
-        calls = 0
-        n_instances = 0
-        if tracker is not None:  # sieve family: every step is processed
-            solution, _ = tracker.step(edges)
-            calls = tracker.oracle_calls
-            n_instances = getattr(tracker, "n_instances", 0)
-        elif dim is not None:  # DIM maintains its index every step
-            probs = ic_probabilities_pandas(ref.alive_interactions())
-            dim.update(probs, added=added, removed=removed)
-            calls = dim.n_resampled
-
-        if t % query_every != 0:
-            continue
-
-        if algo == "greedy":
-            from repro.tdn.influence import CallCounter
-
-            counter = CallCounter()
-            solution, _ = lazy_greedy(ref.tdn.g, k, counter)
-            calls = records[-1]["calls"] + counter.calls if records else counter.calls
-        elif algo == "random":
-            solution = random_solution(sorted(ref.tdn.nodes()), k, rng)
-        elif algo == "dim":
-            solution = dim.query(k)
-        elif algo in ("imm", "tim+"):
-            probs = ic_probabilities_pandas(ref.alive_interactions())
-            graph = ICGraph(probs)
-            select = imm_select if algo == "imm" else tim_plus_select
-            prev = records[-1]["calls"] if records else 0
-            solution, used = select(graph, k, seed=seed + t, **rr_kwargs)
-            calls = prev + used
-
-        records.append(
-            {
-                "t": t,
-                "value": ref.score(solution),
-                "calls": calls,
-                "n_instances": n_instances,
-                "wall_s": time.perf_counter() - t_start,
-            }
-        )
-    return pd.DataFrame(records)
+    records, wall, clock = [], 0.0, time.perf_counter
+    for t, edges in stream_steps(stream):
+        start = clock()
+        method.step(edges, t)
+        seeds = method.query() if t % query_every == 0 else None
+        wall += clock() - start
+        ref.step(edges, t)
+        if seeds is not None:
+            records.append((t, ref.score(seeds), method.oracle_calls, method.n_instances, wall))
+    return pd.DataFrame(records, columns=["t", "value", "calls", "n_instances", "wall_s"])

@@ -23,6 +23,8 @@ resampled from scratch. The update rules mirror the real DIM's:
 """
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 import pandas as pd
 
@@ -71,55 +73,46 @@ class DIMIndex:
     def rebuild(self, edges: pd.DataFrame) -> None:
         """Full (re)build from an IC edge frame ``(u, v, p)`` — used at
         initialization; later snapshots should go through :meth:`update`."""
-        self.graph = ICGraph(edges)
-        self._probs = {
-            (int(u), int(v)): float(p)
-            for u, v, p in zip(edges["u"], edges["v"], edges["p"])
-        }
         self.rr = []
-        if self.graph.n:
-            self.rr = [self._sample_one() for _ in range(self._target_size())]
+        self.update(edges)
 
     def update(
         self,
         edges: pd.DataFrame,
-        added: pd.DataFrame | None = None,
-        removed: pd.DataFrame | None = None,
+        added: Iterable[tuple[int, int]] = (),
+        removed: Iterable[tuple[int, int]] = (),
     ) -> int:
         """Refresh the index for the new snapshot ``edges`` given the
-        interactions ``added``/``removed`` this step (frames with ``u, v``
-        columns). Returns #sets regenerated or expanded."""
-        if self.graph is None or not self.rr:
-            before = self.n_resampled
-            self.rebuild(edges)
-            return self.n_resampled - before
+        interactions ``added``/``removed`` this step, as ``(u, v)`` pairs.
+        Returns #sets regenerated or expanded. With an empty pool (the
+        first snapshot, or after the graph emptied) the pool is rebuilt."""
         old_probs = self._probs
         self.graph = ICGraph(edges)
         self._probs = {
             (int(u), int(v)): float(p)
             for u, v, p in zip(edges["u"], edges["v"], edges["p"])
         }
-        if self.graph.n == 0:
-            self.rr = []
-            return 0
         before = self.n_resampled
+        if not self.rr or not self.graph.n:
+            n = self._target_size() if self.graph.n else 0
+            self.rr = [self._sample_one() for _ in range(n)]
+            return self.n_resampled - before
 
         # 1) Additions: retry the (u, v) coin in sets holding v but not u.
-        if added is not None:
-            for u, v in {(int(r.u), int(r.v)) for r in added.itertuples()}:
-                p_new = self._probs.get((u, v), 0.0)
-                p_old = old_probs.get((u, v), 0.0)
-                delta = (p_new - p_old) / max(1.0 - p_old, 1e-12)
-                if delta <= 0:
-                    continue
-                for i, s in enumerate(self.rr):
-                    if v in s and u not in s and self._rng.random() < delta:
-                        self.rr[i] = self._expand(s, u)
+        for u, v in {(int(u), int(v)) for u, v in added}:
+            p_new = self._probs.get((u, v), 0.0)
+            p_old = old_probs.get((u, v), 0.0)
+            delta = (p_new - p_old) / max(1.0 - p_old, 1e-12)
+            if delta <= 0:
+                continue
+            for i, s in enumerate(self.rr):
+                if v in s and u not in s and self._rng.random() < delta:
+                    self.rr[i] = self._expand(s, u)
 
         # 2) Removals: only sets that could have used edge (u, v) — i.e.
         # containing both endpoints — are resampled.
-        if removed is not None:
-            dirty_pairs = {(int(r.u), int(r.v)) for r in removed.itertuples()}
+        dirty_pairs = {(int(u), int(v)) for u, v in removed}
+        if dirty_pairs:
             for i, s in enumerate(self.rr):
                 if any(u in s and v in s for u, v in dirty_pairs):
                     self.rr[i] = self._sample_one()

@@ -4,8 +4,9 @@ The paper's input is an interaction stream consumed in timestamp order.
 Here the stream is materialized as one parquet file per time-chunk and
 replayed with Spark's file streaming source (``maxFilesPerTrigger=1``), so
 each chunk arrives as one micro-batch in ``foreachBatch``. The callback
-receives the batch as a pandas frame sorted by ``t`` — the algorithms'
-``step`` loops plug straight in (see ``jobs/track_stream.py``).
+receives the batch as a pandas frame sorted by ``t``; once lifetimes are
+attached, :func:`stream_steps` decodes it into the ``(t, edges)`` steps
+the trackers' ``step(edges, t)`` takes (see ``jobs/track_stream.py``).
 
 File-source ordering caveat: Spark picks files by modification time. The
 writer both writes chunks sequentially *and* bumps mtimes monotonically,
@@ -23,6 +24,16 @@ from pyspark.sql import SparkSession
 
 #: Parquet schema of a stream chunk (arrival step + endpoints).
 STREAM_SCHEMA = "u long, v long, t long"
+
+
+def stream_steps(pdf: pd.DataFrame) -> list[tuple[int, list[tuple[int, int, int]]]]:
+    """Decode a lifetimed interaction frame (columns ``u, v, t, l``) into
+    one ``(t, [(u, v, l), ...])`` step per distinct ``t``, ascending, with
+    each step's edges in row order. Values are Python ints."""
+    steps: dict[int, list[tuple[int, int, int]]] = {}
+    for u, v, t, l in zip(*(pdf[c].tolist() for c in ("u", "v", "t", "l"))):
+        steps.setdefault(t, []).append((u, v, l))
+    return sorted(steps.items())
 
 
 def write_stream_chunks(

@@ -24,15 +24,23 @@ from pyspark.sql import functions as F
 INFINITE = 2**62
 
 
-def checked_batch(edges: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-    """One step's ``(u, v, lifetime)`` edges as a list, after checking that
-    every lifetime is positive. Trackers call it before touching any state,
-    so a rejected batch leaves them exactly as they were."""
+def checked_step(
+    edges: Iterable[tuple[int, int, int]], now: int, t: int | None
+) -> tuple[list[tuple[int, int, int]], int]:
+    """A tracker step's ``(u, v, lifetime)`` edges as a list and its event
+    time (``now + 1`` when ``t`` is None), after checking that every
+    lifetime is positive and that ``t`` is after ``now``. Trackers call it
+    before touching any state, so a rejected step leaves them exactly as
+    they were."""
+    if t is None:
+        t = now + 1
+    elif t <= now:
+        raise ValueError(f"event time must increase, got t={t} after t={now}")
     batch = list(edges)
     for u, v, l in batch:
         if l <= 0:
             raise ValueError(f"lifetime must be positive, got {l} for edge ({u}, {v})")
-    return batch
+    return batch, t
 
 
 @dataclass

@@ -92,7 +92,7 @@ class TestDIM:
         pool = len(idx.rr)
         added = pd.DataFrame({"u": [200], "v": [201]})
         extra = pd.concat([hub_interactions(), added], ignore_index=True)
-        regen = idx.update(ic_probabilities_pandas(extra), added=added)
+        regen = idx.update(ic_probabilities_pandas(extra), added=[(200, 201)])
         assert regen < pool / 2
 
     def test_update_reflects_new_hub(self):
@@ -105,8 +105,7 @@ class TestDIM:
         newint = pd.concat(
             [base, pd.DataFrame(rows, columns=["u", "v"])], ignore_index=True
         )
-        added = pd.DataFrame(rows, columns=["u", "v"])
-        idx.update(ic_probabilities_pandas(newint), added=added)
+        idx.update(ic_probabilities_pandas(newint), added=rows)
         assert 500 in idx.query(2)
 
     def test_update_handles_removal_to_empty(self, probs):

@@ -5,6 +5,7 @@ import pytest
 from repro.core.basic_reduction import BasicReduction
 from repro.tdn.graph import TDNGraph
 from repro.tdn.influence import brute_force_opt
+from tests.test_histapprox import GAPPY_LIFETIMES, gappy_stream
 
 
 def random_stream(seed: int, T: int = 30, n_nodes: int = 14, L: int = 6):
@@ -48,20 +49,56 @@ class TestMechanics:
         with pytest.raises(ValueError):
             BasicReduction(2, 0.1, L=0)
 
-    @pytest.mark.parametrize("bad", [0, -3])
-    def test_nonpositive_lifetime_rejected_without_state_change(self, bad):
+    @staticmethod
+    def check_rejected_without_state_change(batch, t, match):
+        """A rejected step leaves the tracker equal to one that never saw
+        it, through the rest of the stream."""
         stream = random_stream(4, L=6)
         seen, clean = BasicReduction(2, 0.1, L=6), BasicReduction(2, 0.1, L=6)
         for _, u, v, l in stream[:10]:
             seen.step([(u, v, l)])
             clean.step([(u, v, l)])
-        with pytest.raises(ValueError, match="lifetime must be positive"):
-            seen.step([(5, 6, 2), (2, 3, bad)])
+        with pytest.raises(ValueError, match=match):
+            seen.step(batch, t)
         assert seen.oracle_calls == clean.oracle_calls
         assert seen.head_edge_count() == clean.head_edge_count()
-        for _, u, v, l in stream[10:]:
-            assert seen.step([(u, v, l)]) == clean.step([(u, v, l)])
+        for t, u, v, l in stream[10:]:
+            assert seen.step([(u, v, l)], t) == clean.step([(u, v, l)], t)
         assert seen.oracle_calls == clean.oracle_calls
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_nonpositive_lifetime_rejected_without_state_change(self, bad):
+        self.check_rejected_without_state_change(
+            [(5, 6, 2), (2, 3, bad)], None, "lifetime must be positive"
+        )
+
+    @pytest.mark.parametrize("t", [10, 4])
+    def test_nonincreasing_time_rejected_without_state_change(self, t):
+        """The last step was at t=10: t=10 again, or earlier, is refused."""
+        self.check_rejected_without_state_change([(5, 6, 2)], t, "event time must increase")
+
+    @pytest.mark.parametrize("lifetimes", list(GAPPY_LIFETIMES))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_event_time_gaps(self, seed, lifetimes):
+        """With event-time jumps of up to 2L the head has processed exactly
+        the alive edges, so the tracked value is exactly f_t(S_t); and the
+        answers equal those on the same stream with every gap filled by
+        empty batches."""
+        k, eps, L = 2, 0.1, 6
+        steps = gappy_stream(seed, GAPPY_LIFETIMES[lifetimes](L, seed), L)
+        br, filled, ref = BasicReduction(k, eps, L), BasicReduction(k, eps, L), TDNGraph()
+        prev = 0
+        for t, batch in steps:
+            ref.advance_to(t)
+            ref.add_edges(batch, t)
+            for _ in range(t - prev - 1):
+                filled.step([])
+            prev = t
+            s, val = br.step(batch, t)
+            assert filled.step(batch) == (s, val), t
+            assert val == (len(ref.g.reachable(s)) if s else 0), t
+            alive_next = [e for e in ref.edges_with_lifetime() if e[2] > 1]
+            assert br.head_edge_count() == len(alive_next), t
 
     def test_solution_after_expiry_is_empty(self):
         br = BasicReduction(2, 0.1, L=3)

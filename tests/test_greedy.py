@@ -2,9 +2,33 @@
 import numpy as np
 import pytest
 
-from repro.core.greedy import lazy_greedy, naive_greedy, random_solution
+from repro.core.greedy import lazy_greedy, random_solution
 from repro.tdn.graph import DiGraph
-from repro.tdn.influence import CallCounter, brute_force_opt
+from repro.tdn.influence import CallCounter, InfluenceOracle, brute_force_opt
+
+
+def naive_greedy(
+    graph: DiGraph, k: int, counter: CallCounter | None = None
+) -> tuple[frozenset[int], float]:
+    """Textbook greedy without lazy evaluation — reference for tests."""
+    oracle = InfluenceOracle(graph, counter)
+    chosen: frozenset[int] = frozenset()
+    value = 0.0
+    nodes = sorted(graph.nodes())
+    for _ in range(min(k, len(nodes))):
+        best_v, best_gain = None, 0.0
+        for v in nodes:
+            if v in chosen:
+                continue
+            gain = float(oracle.marginal_gain(chosen, v))
+            # Ties broken by node id (ascending) for determinism.
+            if gain > best_gain or (gain == best_gain and best_v is not None and v < best_v):
+                best_v, best_gain = v, gain
+        if best_v is None or best_gain <= 0.0:
+            break
+        chosen = chosen | {best_v}
+        value += best_gain
+    return chosen, value
 
 
 def random_graph(seed: int, n_nodes: int = 16, n_edges: int = 40) -> DiGraph:

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from repro.core.basic_reduction import BasicReduction
+from repro.core.greedy import lazy_greedy
 from repro.core.histapprox import HistApprox
 from repro.tdn.graph import TDNGraph
 from repro.tdn.influence import brute_force_opt
-from repro.tdn.lifetimes import GeometricLifetime
+from repro.tdn.lifetimes import ConstantLifetime, GeometricLifetime
 
 
 def random_stream(seed: int, T: int = 30, n_nodes: int = 14, L: int = 8):
@@ -20,6 +21,25 @@ def random_stream(seed: int, T: int = 30, n_nodes: int = 14, L: int = 8):
             v = (v + 1) % n_nodes
         out.append((t, u, v, int(rng.integers(1, L + 1))))
     return out
+
+
+def gappy_stream(seed: int, lifetimes, L: int, T: int = 60, n_nodes: int = 12):
+    """``(t, batch)`` steps whose event times jump by Δ ∈ {1..2L}, with
+    1–3 interactions per step and lifetimes drawn from ``lifetimes``."""
+    rng = np.random.default_rng(seed)
+    ls = iter(lifetimes.sample(3 * T).tolist())
+    t, out = 0, []
+    for _ in range(T):
+        t += int(rng.integers(1, 2 * L + 1))
+        pairs = rng.integers(0, n_nodes, (int(rng.integers(1, 4)), 2)).tolist()
+        out.append((t, [(u, v, next(ls)) for u, v in pairs]))
+    return out
+
+
+GAPPY_LIFETIMES = {
+    "geometric": lambda L, seed: GeometricLifetime(0.15, L, seed=seed),
+    "window": lambda L, seed: ConstantLifetime(L),
+}
 
 
 class TestMechanics:
@@ -65,22 +85,35 @@ class TestMechanics:
         ha.step([(1, 2, 100)])
         assert ha.indices == [3]  # created at 4, shifted to 3
 
-    @pytest.mark.parametrize("bad", [0, -3])
-    def test_nonpositive_lifetime_rejected_without_state_change(self, bad):
+    @staticmethod
+    def check_rejected_without_state_change(batch, t, match):
+        """A rejected step leaves the tracker equal to one that never saw
+        it, through the rest of the stream."""
         stream = random_stream(4, L=8)
         seen, clean = HistApprox(2, 0.1, L=8), HistApprox(2, 0.1, L=8)
         for _, u, v, l in stream[:10]:
             seen.step([(u, v, l)])
             clean.step([(u, v, l)])
-        with pytest.raises(ValueError, match="lifetime must be positive"):
-            seen.step([(5, 6, 2), (2, 3, bad)])
+        with pytest.raises(ValueError, match=match):
+            seen.step(batch, t)
         assert seen.indices == clean.indices
         assert seen.master.now == clean.master.now
         assert seen.oracle_calls == clean.oracle_calls
-        for _, u, v, l in stream[10:]:
-            assert seen.step([(u, v, l)]) == clean.step([(u, v, l)])
+        for t, u, v, l in stream[10:]:
+            assert seen.step([(u, v, l)], t) == clean.step([(u, v, l)], t)
             assert seen.indices == clean.indices
         assert seen.oracle_calls == clean.oracle_calls
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_nonpositive_lifetime_rejected_without_state_change(self, bad):
+        self.check_rejected_without_state_change(
+            [(5, 6, 2), (2, 3, bad)], None, "lifetime must be positive"
+        )
+
+    @pytest.mark.parametrize("t", [10, 4])
+    def test_nonincreasing_time_rejected_without_state_change(self, t):
+        """The last step was at t=10: t=10 again, or earlier, is refused."""
+        self.check_rejected_without_state_change([(5, 6, 2)], t, "event time must increase")
 
     @pytest.mark.parametrize("seed", range(4))
     def test_instance_graph_is_master_residual_slice(self, seed):
@@ -106,6 +139,41 @@ class TestMechanics:
         ha = HistApprox(2, 0.1, L=3)
         ha.step([(1, 2, 1)])  # creates index 1, terminated at shift
         assert ha.indices == []
+
+    def test_time_jump_shifts_by_delta(self):
+        """Indices 3 and 7 after the step at t=1; a jump to t=5 (Δ=4)
+        expires index 3 and lowers 7 to 4 (residual lifetime 4 at t=5)
+        before the batch, and the post-query shift leaves 3."""
+        ha = HistApprox(1, 0.1, L=10)
+        ha.step([(1, 2, 4), (3, 4, 8), (3, 5, 8)], t=1)
+        assert ha.indices == [3, 7]
+        s, val = ha.step([], t=5)
+        assert ha.master.n_edges == 2 and (s, val) == (frozenset({3}), 3.0)
+        assert ha.indices == [3]
+
+    @pytest.mark.parametrize("lifetimes", list(GAPPY_LIFETIMES))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_event_time_gaps(self, seed, lifetimes):
+        """With event-time jumps of up to 2L: the master holds exactly the
+        alive edges of an independent G_t, each instance is the master's
+        residual slice, and the answer is at most f_t(S_t) and at least
+        (1/3−ε)·lazy greedy on G_t."""
+        k, eps, L = 2, 0.1, 10
+        ha, ref = HistApprox(k, eps, L), TDNGraph()
+        for t, batch in gappy_stream(seed, GAPPY_LIFETIMES[lifetimes](L, seed), L):
+            ref.advance_to(t)
+            ref.add_edges(batch, t)
+            s, val = ha.step(batch, t)
+            f = len(ref.g.reachable(s)) if s else 0
+            assert ha.master.n_edges == ref.n_edges, t
+            assert val <= f, (t, val, f)
+            assert f >= (1.0 / 3.0 - eps) * lazy_greedy(ref.g, k)[1] - 1e-9, t
+            alive = ha.master.edges_with_lifetime()
+            for i, inst in ha.instances.items():
+                held = Counter(
+                    {(u, v): m for u, nbrs in inst.graph.out.items() for v, m in nbrs.items()}
+                )
+                assert held == Counter((u, v) for u, v, rl in alive if rl >= i + 1), (t, i)
 
 
 class TestRedundancy:

@@ -1,10 +1,15 @@
 """Tests for the shared experiment runner (repro.experiments.runner)."""
+import time
+
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.basic_reduction import BasicReduction
 from repro.experiments.datasets import make_stream
-from repro.experiments.runner import _Reference, assign_lifetimes, run_tracker
+from repro.experiments import runner
+from repro.experiments.runner import METHODS, _Reference, assign_lifetimes, run_tracker
+from repro.streaming.driver import stream_steps
 from repro.tdn.graph import TDNGraph
 
 STREAM = make_stream("brightkite", 80)
@@ -29,7 +34,7 @@ class TestReference:
         ref = _Reference()
         check = TDNGraph()
         for t, batch in LIFETIMED.groupby("t", sort=True):
-            ref.advance(int(t), batch)
+            ref.step(list(batch[["u", "v", "l"]].itertuples(index=False)), int(t))
             check.advance_to(int(t))
             check.add_edges(batch[["u", "v", "l"]].itertuples(index=False), int(t))
             assert ref.tdn.n_edges == check.n_edges
@@ -37,11 +42,17 @@ class TestReference:
     def test_score_empty(self):
         assert _Reference().score(frozenset()) == 0
 
-    def test_removed_frame(self):
-        ref = _Reference()
-        ref.advance(1, pd.DataFrame({"u": [1], "v": [2], "l": [1]}))
-        _, removed = ref.advance(2, pd.DataFrame({"u": [3], "v": [4], "l": [5]}))
-        assert removed.values.tolist() == [[1, 2]]
+
+class TestMethods:
+    def test_dim_gets_step_pairs(self):
+        """DIM's index is updated with the step's arrivals in row order and
+        the pairs that expired at it."""
+        dim = METHODS["dim"](3, 0.1, 10, 0, {})
+        seen = []
+        dim.index.update = lambda probs, added, removed: seen.append((added, removed))
+        dim.step([(1, 2, 1)], 1)
+        dim.step([(3, 4, 5), (1, 3, 2)], 2)
+        assert seen == [([(1, 2)], []), ([(3, 4), (1, 3)], [(1, 2)])]
 
 
 class TestRunTracker:
@@ -92,3 +103,28 @@ class TestRunTracker:
         a = run_tracker(LIFETIMED, "histapprox", k=3, eps=0.2, L=30)
         b = run_tracker(LIFETIMED, "histapprox", k=3, eps=0.2, L=30)
         pd.testing.assert_frame_equal(a.drop(columns="wall_s"), b.drop(columns="wall_s"))
+
+    def test_event_time_reaches_the_tracker(self):
+        """On a stream with gaps in t, BasicReduction's tracked value is
+        f_t(S_t), so the scored values equal a direct feed's."""
+        gappy = LIFETIMED.assign(t=LIFETIMED["t"] * 4)
+        res = run_tracker(gappy, "basicreduction", k=3, eps=0.2, L=30)
+        br = BasicReduction(3, 0.2, 30)
+        want = [br.step(edges, t)[1] for t, edges in stream_steps(gappy)]
+        assert res["t"].tolist() == list(range(4, 321, 4))
+        assert res["value"].tolist() == want
+
+    def test_wall_time_excludes_reference(self, monkeypatch):
+        """``wall_s`` times the method only: 10 ms of reference upkeep and
+        scoring per step (0.8 s in all) do not show in it."""
+
+        def slow(f):
+            return lambda *a: (time.sleep(0.005), f(*a))[1]
+
+        ref = _Reference()
+        monkeypatch.setattr(runner, "_Reference", lambda: ref)
+        monkeypatch.setattr(ref, "step", slow(ref.step))
+        monkeypatch.setattr(ref, "score", slow(ref.score))
+        res = run_tracker(LIFETIMED, "random", k=3)
+        assert res["wall_s"].is_monotonic_increasing
+        assert 0 < res["wall_s"].iloc[-1] < 0.4

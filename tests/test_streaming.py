@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.histapprox import HistApprox
 from repro.oracle import assert_equivalent
-from repro.streaming.driver import replay_stream, write_stream_chunks
+from repro.streaming.driver import replay_stream, stream_steps, write_stream_chunks
 from repro.streaming.windowed_stats import (
     WINDOWED_DEGREE_SQL,
     streaming_influence_counts,
@@ -45,6 +45,22 @@ class TestWriteChunks:
         assert len(back) == 3
 
 
+class TestStreamSteps:
+    def test_one_step_per_time_in_row_order(self):
+        pdf = pd.DataFrame({"u": [5, 1, 2, 3], "v": [6, 2, 3, 4], "t": [4, 1, 4, 9], "l": [1, 2, 3, 4]})
+        assert stream_steps(pdf) == [(1, [(1, 2, 2)]), (4, [(5, 6, 1), (2, 3, 3)]), (9, [(3, 4, 4)])]
+
+    def test_matches_groupby(self):
+        """Same steps as the groupby/itertuples decode, several rows per t."""
+        pdf = qa_stream(n_steps=120, seed=7)
+        pdf = pdf.assign(t=pdf["t"] // 4, l=GeometricLifetime(0.1, 20, seed=7).sample(len(pdf)))
+        want = [
+            (t, [tuple(r) for r in b[["u", "v", "l"]].itertuples(index=False)])
+            for t, b in pdf.groupby("t", sort=True)
+        ]
+        assert stream_steps(pdf) == want
+
+
 class TestReplay:
     def test_exactly_once_in_order(self, spark, tmp_path):
         pdf = qa_stream(n_steps=120, seed=3)
@@ -64,31 +80,29 @@ class TestReplay:
         assert replayed["t"].is_monotonic_increasing
 
     def test_streamed_tracker_equals_direct_feed(self, spark, tmp_path):
-        """Feeding HistApprox through foreachBatch must give the same
-        solutions as the plain driver loop."""
+        """Feeding HistApprox through foreachBatch with each step's event
+        time must give the same solutions as the plain driver loop, on a
+        stream with t = 1..n and on one with gaps of up to 2L in t."""
         pdf = retweet_stream(n_steps=150, n_users=60, seed=4)
-        lifetimes = GeometricLifetime(0.05, 50, seed=0).sample(len(pdf))
-        pdf_l = pdf.assign(l=lifetimes)
+        gaps = np.random.default_rng(4).integers(1, 101, len(pdf))
+        for name, stream in (("gapless", pdf), ("gappy", pdf.assign(t=np.cumsum(gaps)))):
+            lifetimes = GeometricLifetime(0.05, 50, seed=0).sample(len(stream))
+            stream_l = stream.assign(l=lifetimes)
 
-        direct = HistApprox(k=5, eps=0.2, L=50)
-        direct_solutions = {}
-        for t, grp in pdf_l.groupby("t", sort=True):
-            s, _ = direct.step(list(grp[["u", "v", "l"]].itertuples(index=False)))
-            direct_solutions[int(t)] = s
+            direct = HistApprox(k=5, eps=0.2, L=50)
+            direct_solutions = {t: direct.step(edges, t)[0] for t, edges in stream_steps(stream_l)}
 
-        streamed = HistApprox(k=5, eps=0.2, L=50)
-        streamed_solutions = {}
-        lmap = {(int(r.t)): int(r.l) for r in pdf_l.itertuples()}
+            streamed = HistApprox(k=5, eps=0.2, L=50)
+            streamed_solutions = {}
+            lmap = dict(zip(stream_l["t"], stream_l["l"]))
 
-        def on_batch(batch, batch_id):
-            for t, grp in batch.groupby("t", sort=True):
-                rows = [(int(r.u), int(r.v), lmap[int(t)]) for r in grp.itertuples()]
-                s, _ = streamed.step(rows)
-                streamed_solutions[int(t)] = s
+            def on_batch(batch, batch_id):
+                for t, edges in stream_steps(batch.assign(l=batch["t"].map(lmap))):
+                    streamed_solutions[t] = streamed.step(edges, t)[0]
 
-        write_stream_chunks(pdf, str(tmp_path / "in2"), 8)
-        replay_stream(spark, str(tmp_path / "in2"), on_batch)
-        assert streamed_solutions == direct_solutions
+            write_stream_chunks(stream, str(tmp_path / name), 8)
+            replay_stream(spark, str(tmp_path / name), on_batch)
+            assert streamed_solutions == direct_solutions, name
 
 
 class TestWindowedStats:
