@@ -55,27 +55,6 @@ class DIMIndex:
         self.n_resampled += 1
         return self.graph.rr_set(root, self._rng)
 
-    def _expand(self, s: frozenset[int], u: int) -> frozenset[int]:
-        """Grow RR set ``s`` by the reverse live-edge closure of ``u``."""
-        assert self.graph is not None
-        seen = set(s)
-        seen.add(u)
-        stack = [u]
-        while stack:
-            z = stack.pop()
-            for w, p in self.graph.in_nbrs.get(z, ()):
-                if w not in seen and self._rng.random() < p:
-                    seen.add(w)
-                    stack.append(w)
-        self.n_resampled += 1
-        return frozenset(seen)
-
-    def rebuild(self, edges: pd.DataFrame) -> None:
-        """Full (re)build from an IC edge frame ``(u, v, p)`` — used at
-        initialization; later snapshots should go through :meth:`update`."""
-        self.rr = []
-        self.update(edges)
-
     def update(
         self,
         edges: pd.DataFrame,
@@ -107,7 +86,9 @@ class DIMIndex:
                 continue
             for i, s in enumerate(self.rr):
                 if v in s and u not in s and self._rng.random() < delta:
-                    self.rr[i] = self._expand(s, u)
+                    # Grow the set by the reverse live-edge closure of u.
+                    self.rr[i] = self.graph.rr_set(u, self._rng, seen=s)
+                    self.n_resampled += 1
 
         # 2) Removals: only sets that could have used edge (u, v) — i.e.
         # containing both endpoints — are resampled.

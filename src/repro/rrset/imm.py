@@ -5,10 +5,11 @@ checks whether the greedy max-cover solution already certifies a large
 enough lower bound on OPT to fix the final sample size theta, then tops
 the sample up and returns the greedy cover. We keep the two-phase
 skeleton (sampling-with-stopping + final selection) and the
-``theta = lambda* / LB`` sizing rule, with the constants folded into a
-single ``c`` and a hard cap so the reproduction stays laptop-sized; the
-paper's statistical constants target 1-1/e-eps whp at n in the millions,
-which is out of scope for a shape-level reproduction (DESIGN §2).
+``theta = lambda* / LB`` sizing rule, with the constants folded into the
+single constant :data:`C` and a hard cap so the reproduction stays
+laptop-sized; the paper's statistical constants target 1-1/e-eps whp at
+n in the millions, which is out of scope for a shape-level reproduction
+(DESIGN §2).
 """
 from __future__ import annotations
 
@@ -16,13 +17,15 @@ import math
 
 from repro.rrset.rr import ICGraph, max_cover, sample_rr_sets
 
+#: The statistical constants of ``lambda*``, folded into one factor.
+C = 8.0
+
 
 def imm_select(
     graph: ICGraph,
     k: int,
     eps: float = 0.3,
     seed: int = 0,
-    c: float = 8.0,
     max_sets: int = 20000,
 ) -> tuple[frozenset[int], int]:
     """Select ``<=k`` seeds; returns ``(seeds, n_rr_sets_used)``.
@@ -34,7 +37,7 @@ def imm_select(
     n = graph.n
     if n == 0 or k == 0:
         return frozenset(), 0
-    lam = c * n * (math.log(max(n, 2)) + math.lgamma(k + 1) / max(k, 1)) / (eps**2)
+    lam = C * n * (math.log(max(n, 2)) + math.lgamma(k + 1) / max(k, 1)) / (eps**2)
     n_sets = max(64, 2 * k)
     rr = sample_rr_sets(graph, n_sets, seed=seed)
     used = n_sets

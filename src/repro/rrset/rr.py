@@ -6,7 +6,9 @@ of nodes that reach ``z`` in a live-edge sample of the graph (each edge
 reverse from ``z``). Borgs et al.'s estimator: for any seed set S,
 ``sigma(S) ~= n * (fraction of RR sets hit by S)`` — maximizing coverage
 of RR sets maximizes expected IC spread. This is the common substrate of
-the DIM / IMM / TIM+ baselines.
+the DIM / IMM / TIM+ baselines. :meth:`ICGraph.rr_set` also grows an
+existing set by the reverse closure of a new member (its ``seen``
+argument), which is how DIM expands a set when an edge probability rises.
 
 Two samplers, identical per-(seed, root) output:
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
+from typing import Iterable
 
 import numpy as np
 import pandas as pd
@@ -45,9 +48,13 @@ class ICGraph:
     def n(self) -> int:
         return len(self.nodes)
 
-    def rr_set(self, root: int, rng: np.random.Generator) -> frozenset[int]:
-        """One RR set: reverse BFS from ``root`` over live in-edges."""
-        seen = {root}
+    def rr_set(
+        self, root: int, rng: np.random.Generator, seen: Iterable[int] = ()
+    ) -> frozenset[int]:
+        """One RR set: reverse BFS from ``root`` over live in-edges. Nodes
+        in ``seen`` are already in the set: the walk draws no coin for arcs
+        into them and returns them with what it reached."""
+        seen = {*seen, root}
         stack = [root]
         while stack:
             z = stack.pop()

@@ -4,8 +4,8 @@ The TDN model (paper §II-B): each arriving edge ``(u, v, tau)`` gets a
 lifetime ``l in {1..L}``; at time ``t`` the edge is alive iff
 ``tau <= t < tau + l``. Submodules:
 
-- :mod:`repro.tdn.lifetimes` — lifetime assignment (geometric / constant /
-  infinite), both seeded-NumPy and Spark Column implementations.
+- :mod:`repro.tdn.lifetimes` — seeded-NumPy lifetime assignment
+  (geometric / constant / infinite).
 - :mod:`repro.tdn.graph` — driver-side multigraph with scheduled expiry and
   BFS reachability.
 - :mod:`repro.tdn.influence` — counting influence-spread oracle ``f_t``.

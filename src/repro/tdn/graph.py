@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict, deque
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.tdn.lifetimes import INFINITE
 
@@ -66,11 +66,6 @@ class DiGraph:
         ns = {u for u, nbrs in self.out.items() if nbrs}
         ns.update(v for v, nbrs in self.in_.items() if nbrs)
         return ns
-
-    def distinct_edges(self) -> Iterator[Edge]:
-        for u, nbrs in self.out.items():
-            for v in nbrs:
-                yield (u, v)
 
     def reachable(self, seeds: Iterable[int]) -> set[int]:
         """All nodes reachable from ``seeds`` via directed paths (length

@@ -10,12 +10,13 @@ A :class:`CallCounter` can be shared by many oracles so an algorithm that
 owns several SieveADN instances (BasicReduction, HistApprox) reports one
 aggregate count.
 
-The oracle memoizes the reached set of every evaluated set, keyed by the
-set and stamped with ``graph.version`` (any mutation invalidates it). A
-marginal gain ``δ_S(v)`` is therefore a set difference of two cached
-reaches: ``S``'s, and ``{v}``'s, which the billed singleton ``spread``
-that precedes every sieve/greedy gain filled — still billed as exactly
-one oracle call, identically for every algorithm.
+The oracle memoizes the reached set of every evaluated set of the current
+graph version; the first evaluation after a mutation empties the cache, so
+it never holds a reach of an older graph. A marginal gain ``δ_S(v)`` is
+therefore a set difference of two cached reaches: ``S``'s, and ``{v}``'s,
+which the billed singleton ``spread`` that precedes every sieve/greedy
+gain filled — still billed as exactly one oracle call, identically for
+every algorithm.
 """
 from __future__ import annotations
 
@@ -42,8 +43,9 @@ class InfluenceOracle:
     def __init__(self, graph: DiGraph, counter: CallCounter | None = None) -> None:
         self.graph = graph
         self.counter = counter if counter is not None else CallCounter()
-        # cache: frozenset(S) -> (graph.version, reached set)
-        self._cache: dict[frozenset[int], tuple[int, set[int]]] = {}
+        # frozenset(S) -> reached set, all of graph version ``_version``
+        self._cache: dict[frozenset[int], set[int]] = {}
+        self._version = graph.version
 
     @property
     def oracle_calls(self) -> int:
@@ -67,17 +69,12 @@ class InfluenceOracle:
         return len(self._reach(frozenset((v,))) - r_base)
 
     def _reach(self, s: frozenset[int]) -> set[int]:
-        hit = self._cache.get(s)
-        if hit is not None and hit[0] == self.graph.version:
-            return hit[1]
-        r = self.graph.reachable(s)
-        # Keep the cache bounded: sieve algorithms query O(eps^-1 log k)
-        # distinct sets and greedy its k prefixes; evict stale entries when
-        # the map grows past that working set.
-        if len(self._cache) > 4096:
-            v = self.graph.version
-            self._cache = {k: h for k, h in self._cache.items() if h[0] == v}
-        self._cache[s] = (self.graph.version, r)
+        if self._version != self.graph.version:
+            self._cache.clear()
+            self._version = self.graph.version
+        r = self._cache.get(s)
+        if r is None:
+            r = self._cache[s] = self.graph.reachable(s)
         return r
 
 

@@ -4,11 +4,8 @@ A lifetime assigner maps arriving edges to integer lifetimes in ``{1..L}``
 (or unbounded for ADNs). The paper's experiments sample lifetimes from a
 geometric distribution ``Pr(l) ∝ (1-p)^(l-1) p`` truncated at ``L``
 (Example 5: equivalent to forgetting each live edge with probability ``p``
-per step). Two implementations are provided and tested against each other:
-
-- a seeded NumPy sampler (used by the driver-side simulation loop), and
-- a Spark ``Column`` expression (inverse-CDF over ``rand(seed)``) for the
-  Structured Streaming pipeline.
+per step). Every assigner is a seeded NumPy sampler; the streaming job
+calls it on the driver for each micro-batch.
 """
 from __future__ import annotations
 
@@ -17,8 +14,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-from pyspark.sql import Column
-from pyspark.sql import functions as F
 
 #: Sentinel lifetime for addition-only networks (edges never expire).
 INFINITE = 2**62
@@ -54,14 +49,6 @@ class ConstantLifetime:
         """Lifetimes for ``n`` arriving edges."""
         return np.full(n, self.w, dtype=np.int64)
 
-    def spark_column(self, seed: int = 0) -> Column:
-        """Spark expression yielding the same assignment."""
-        return F.lit(int(self.w)).cast("long")
-
-    @property
-    def max_lifetime(self) -> int:
-        return self.w
-
 
 @dataclass
 class InfiniteLifetime:
@@ -69,13 +56,6 @@ class InfiniteLifetime:
 
     def sample(self, n: int) -> np.ndarray:
         return np.full(n, INFINITE, dtype=np.int64)
-
-    def spark_column(self, seed: int = 0) -> Column:
-        return F.lit(INFINITE).cast("long")
-
-    @property
-    def max_lifetime(self) -> int:
-        return INFINITE
 
 
 @dataclass
@@ -114,23 +94,6 @@ class GeometricLifetime:
         u = u * cap
         l = np.ceil(np.log1p(-u) / math.log1p(-self.p)).astype(np.int64)
         return np.clip(l, 1, self.L)
-
-    def spark_column(self, seed: int = 0) -> Column:
-        """Same inverse-CDF transform as a Catalyst expression.
-
-        Distribution-equal (not sample-equal) to :meth:`sample` — Spark's
-        ``rand`` and NumPy's PCG64 are different generators; tests compare
-        the two distributions, and the exact truncation bound holds for
-        both.
-        """
-        cap = 1.0 - (1.0 - self.p) ** self.L
-        u = F.rand(seed) * F.lit(cap)
-        l = F.ceil(F.log1p(-u) / F.lit(math.log1p(-self.p))).cast("long")
-        return F.greatest(F.lit(1).cast("long"), F.least(l, F.lit(int(self.L)).cast("long")))
-
-    @property
-    def max_lifetime(self) -> int:
-        return self.L
 
     def mean(self) -> float:
         """Expected lifetime of the truncated distribution (closed form)."""

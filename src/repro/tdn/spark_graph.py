@@ -5,8 +5,9 @@ at ``t`` is the TDN condition ``tau <= t < tau + lifetime``. Influence
 spread ``f_t(S)`` is computed with a level-synchronous BFS in the manner
 of Pregel: the frontier and the reached set stay on the driver, and each
 level is one Spark job that scans the cached arc list for arcs out of the
-frontier and collects their heads. ``influence_spread`` leaves nothing
-cached. Checked in tests against both the driver-side BFS and a DuckDB
+frontier and collects their heads. :func:`reachable` returns the reached
+set and :func:`influence_spread` its size; neither leaves anything cached.
+Checked in tests against both the driver-side BFS and a DuckDB
 ``WITH RECURSIVE`` query via :func:`repro.oracle.assert_equivalent`.
 """
 from __future__ import annotations
@@ -36,8 +37,9 @@ def tdn_edges(
     """Attach lifetimes and expiry to an interaction stream.
 
     ``interactions`` has columns ``u, v, t`` (arrival step ``tau``);
-    ``lifetime_col`` is a Spark Column (see
-    :meth:`repro.tdn.lifetimes.GeometricLifetime.spark_column`).
+    ``lifetime_col`` is a Spark Column holding each edge's lifetime, such
+    as ``F.col("l")`` for lifetimes sampled on the driver or ``F.lit(w)``
+    for a window of ``w`` steps.
     """
     sdf = (
         spark.createDataFrame(interactions)
@@ -56,8 +58,11 @@ def alive_at(edges: DataFrame, t: int) -> DataFrame:
     return edges.where((F.col("tau") <= F.lit(t)) & (F.lit(t) < F.col("expiry")))
 
 
-def _reach(edges: DataFrame, seeds: Iterable[int], max_iter: int) -> set[int]:
-    """Level-synchronous BFS with the frontier and the reached set on the
+def reachable(edges: DataFrame, seeds: Iterable[int], max_iter: int = 64) -> set[int]:
+    """Nodes reachable from ``seeds`` in ``edges`` (paths of length >= 0),
+    the distributed ``f_t`` evaluator.
+
+    Level-synchronous BFS with the frontier and the reached set on the
     driver: each level is one Spark job that scans the cached arc list for
     arcs out of the frontier (sent to the tasks as an ``InSet`` literal)
     and collects their heads. Stops on an empty level, or after
@@ -80,27 +85,8 @@ def _reach(edges: DataFrame, seeds: Iterable[int], max_iter: int) -> set[int]:
     return reached
 
 
-def reachable_nodes(
-    spark: SparkSession,
-    edges: DataFrame,
-    seeds: Iterable[int],
-    max_iter: int = 64,
-) -> DataFrame:
-    """Distinct nodes reachable from ``seeds`` (paths of length >= 0) as a
-    one-column DataFrame ``node`` — the distributed ``f_t`` evaluator.
-
-    The result is cached and fully loaded; the caller owns that cache and
-    may ``unpersist()`` it when done.
-    """
-    nodes = sorted(_reach(edges, seeds, max_iter))
-    reached = spark.createDataFrame([(n,) for n in nodes], "node long").cache()
-    reached.count()
-    return reached
-
-
 def influence_spread(
     spark: SparkSession, edges: DataFrame, seeds: Iterable[int], max_iter: int = 64
 ) -> int:
-    """``f_t(S)`` = |reachable set| via the distributed BFS. Leaves nothing
-    cached."""
-    return len(_reach(edges, seeds, max_iter))
+    """``f_t(S)`` = ``len(reachable(edges, seeds, max_iter))``."""
+    return len(reachable(edges, seeds, max_iter))

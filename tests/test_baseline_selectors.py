@@ -80,7 +80,7 @@ class TestTIMPlus:
 class TestDIM:
     def test_rebuild_and_query(self, probs):
         idx = DIMIndex(beta=16, seed=0, max_sets=500)
-        idx.rebuild(probs)
+        idx.update(probs)
         seeds = idx.query(2)
         assert 0 in seeds and len(seeds) <= 2
 
@@ -88,7 +88,7 @@ class TestDIM:
         """Incremental contract: a small update regenerates far fewer sets
         than a rebuild."""
         idx = DIMIndex(beta=16, seed=0, max_sets=500)
-        idx.rebuild(probs)
+        idx.update(probs)
         pool = len(idx.rr)
         added = pd.DataFrame({"u": [200], "v": [201]})
         extra = pd.concat([hub_interactions(), added], ignore_index=True)
@@ -99,7 +99,7 @@ class TestDIM:
         """A new dominant hub must enter the query answer after updates."""
         base = hub_interactions()
         idx = DIMIndex(beta=16, seed=0, max_sets=500)
-        idx.rebuild(ic_probabilities_pandas(base))
+        idx.update(ic_probabilities_pandas(base))
         assert 500 not in idx.query(2)
         rows = [(500, int(v)) for v in range(10, 150)] * 3
         newint = pd.concat(
@@ -110,7 +110,7 @@ class TestDIM:
 
     def test_update_handles_removal_to_empty(self, probs):
         idx = DIMIndex(beta=8, seed=0, max_sets=100)
-        idx.rebuild(probs)
+        idx.update(probs)
         out = idx.update(pd.DataFrame(columns=["u", "v", "p"]), removed=None)
         assert idx.rr == [] and out == 0
         assert idx.query(3) == frozenset()

@@ -112,13 +112,6 @@ class TestDiGraph:
         assert g.reachable((1,)) == {1, 2}
         assert c.reachable((1,)) == {1, 2, 3}
 
-    def test_distinct_edges(self):
-        g = DiGraph()
-        g.add_edge(1, 2)
-        g.add_edge(1, 2)
-        g.add_edge(2, 3)
-        assert sorted(g.distinct_edges()) == [(1, 2), (2, 3)]
-
 
 class TestTDNGraph:
     def test_edge_alive_exactly_lifetime_steps(self):
@@ -230,4 +223,4 @@ class TestTDNGraph:
             g.add_edges(batch, t)
             alive = [(u, v) for (tt, u, v, l) in events if tt <= t < tt + l]
             assert g.n_edges == len(alive)
-            assert set(g.g.distinct_edges()) == set(alive)
+            assert {(u, v) for u, nbrs in g.g.out.items() for v in nbrs} == set(alive)

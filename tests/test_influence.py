@@ -58,6 +58,17 @@ class TestOracle:
         g.add_edge(2, 7)
         assert o.spread((0,)) == 4
 
+    def test_cache_holds_only_current_version(self):
+        """After a mutation, the first evaluation drops every reach of the
+        older graph: no stale entry is kept, since none can be hit."""
+        g = chain_graph(4)
+        o = InfluenceOracle(g)
+        for s in [(0,), (1,), (2,), (0, 3)]:
+            o.spread(s)
+        g.add_edge(3, 4)
+        assert o.spread((1,)) == 4
+        assert o._cache == {frozenset((1,)): {1, 2, 3, 4}}
+
     def test_marginal_gain_reuses_singleton_reach(self, monkeypatch):
         """After the billed ``spread({v})`` the gain runs no BFS and
         bills exactly one call."""

@@ -1,7 +1,11 @@
 """Unit tests for lifetime assignment (repro.tdn.lifetimes)."""
-import numpy as np
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.tdn.lifetimes import (
     INFINITE,
     ConstantLifetime,
@@ -13,9 +17,6 @@ from repro.tdn.lifetimes import (
 class TestConstantAndInfinite:
     def test_constant_values(self):
         assert (ConstantLifetime(7).sample(5) == 7).all()
-
-    def test_constant_max(self):
-        assert ConstantLifetime(3).max_lifetime == 3
 
     def test_infinite_values(self):
         assert (InfiniteLifetime().sample(4) == INFINITE).all()
@@ -70,30 +71,16 @@ class TestGeometric:
         assert lt.mean() == pytest.approx(4.0, rel=1e-6)
 
 
-class TestSparkColumn:
-    """Distribution parity between the NumPy and Catalyst samplers."""
-
-    def test_geometric_spark_matches_numpy_distribution(self, spark):
-        p, L, n = 0.15, 40, 40_000
-        lt = GeometricLifetime(p, L, seed=0)
-        got = (
-            spark.range(n)
-            .select(lt.spark_column(seed=7).alias("l"))
-            .groupBy("l")
-            .count()
-            .toPandas()
-            .set_index("l")["count"]
-        )
-        assert got.index.min() >= 1 and got.index.max() <= L
-        ref = np.bincount(lt.sample(n), minlength=L + 1)[1:]
-        # Compare the two empirical PMFs on the head of the support.
-        for l in range(1, 8):
-            assert got.get(l, 0) / n == pytest.approx(ref[l - 1] / n, rel=0.12, abs=5e-3)
-
-    def test_constant_spark_column(self, spark):
-        vals = spark.range(5).select(ConstantLifetime(9).spark_column().alias("l")).toPandas()
-        assert (vals["l"] == 9).all()
-
-    def test_infinite_spark_column(self, spark):
-        vals = spark.range(3).select(InfiniteLifetime().spark_column().alias("l")).toPandas()
-        assert (vals["l"] == INFINITE).all()
+def test_tracker_import_loads_no_spark_or_pandas():
+    """The trackers and the TDN substrate are driver-side NumPy code:
+    importing them must not pull in PySpark or pandas."""
+    code = (
+        "import sys, repro.core, repro.tdn; "
+        "print(sorted(m for m in ('pyspark', 'pandas') if m in sys.modules))"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

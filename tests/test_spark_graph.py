@@ -10,12 +10,11 @@ from pyspark.sql import functions as F
 
 from repro.oracle import assert_equivalent
 from repro.tdn.graph import DiGraph
-from repro.tdn.lifetimes import ConstantLifetime, GeometricLifetime
 from repro.tdn.spark_graph import (
     REACHABILITY_SQL,
     alive_at,
     influence_spread,
-    reachable_nodes,
+    reachable,
     tdn_edges,
 )
 
@@ -32,25 +31,18 @@ def random_interactions(seed: int, n: int = 120, n_nodes: int = 25) -> pd.DataFr
 
 class TestTdnEdges:
     def test_schema(self, spark):
-        e = tdn_edges(spark, random_interactions(0), ConstantLifetime(5).spark_column())
+        e = tdn_edges(spark, random_interactions(0), F.lit(5))
         assert set(e.columns) == {"u", "v", "tau", "lifetime", "expiry"}
 
     def test_expiry_is_tau_plus_lifetime(self, spark):
-        e = tdn_edges(spark, random_interactions(1), ConstantLifetime(5).spark_column())
+        e = tdn_edges(spark, random_interactions(1), F.lit(5))
         pdf = e.toPandas()
         assert (pdf["expiry"] == pdf["tau"] + 5).all()
-
-    def test_geometric_lifetimes_within_cap(self, spark):
-        e = tdn_edges(
-            spark, random_interactions(2), GeometricLifetime(0.3, 7).spark_column(seed=1)
-        )
-        pdf = e.toPandas()
-        assert pdf["lifetime"].between(1, 7).all()
 
     @pytest.mark.parametrize("t", [1, 10, 30, 60])
     def test_alive_at_matches_pandas_filter(self, spark, t):
         pdf = random_interactions(3)
-        e = tdn_edges(spark, pdf, ConstantLifetime(8).spark_column())
+        e = tdn_edges(spark, pdf, F.lit(8))
         got = alive_at(e, t).count()
         expect = ((pdf["t"] <= t) & (t < pdf["t"] + 8)).sum()
         assert got == expect
@@ -60,19 +52,19 @@ class TestDistributedReachability:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_driver_bfs(self, spark, seed):
         pdf = random_interactions(seed, n=80, n_nodes=20)
-        e = tdn_edges(spark, pdf, ConstantLifetime(1000).spark_column())
+        e = tdn_edges(spark, pdf, F.lit(1000))
         g = DiGraph()
         for u, v in zip(pdf["u"], pdf["v"]):
             g.add_edge(int(u), int(v))
         seeds = sorted(g.nodes())[:3]
-        got = {r["node"] for r in reachable_nodes(spark, e, seeds).collect()}
-        assert got == g.reachable(seeds)
+        assert reachable(e, seeds) == g.reachable(seeds)
 
     def test_matches_duckdb_recursive_cte(self, spark):
         pdf = random_interactions(7, n=100, n_nodes=22)
-        e = tdn_edges(spark, pdf, ConstantLifetime(1000).spark_column())
+        e = tdn_edges(spark, pdf, F.lit(1000))
         seeds = [0, 5]
-        reach_df = reachable_nodes(spark, e, seeds)
+        nodes = sorted(reachable(e, seeds))
+        reach_df = spark.createDataFrame([(n,) for n in nodes], "node long")
         assert_equivalent(
             reach_df,
             REACHABILITY_SQL,
@@ -82,17 +74,17 @@ class TestDistributedReachability:
 
     def test_seed_outside_graph(self, spark):
         pdf = pd.DataFrame({"u": [1], "v": [2], "t": [1]})
-        e = tdn_edges(spark, pdf, ConstantLifetime(10).spark_column())
+        e = tdn_edges(spark, pdf, F.lit(10))
         assert influence_spread(spark, e, [99]) == 1
 
     def test_empty_seed_set(self, spark):
         pdf = pd.DataFrame({"u": [1], "v": [2], "t": [1]})
-        e = tdn_edges(spark, pdf, ConstantLifetime(10).spark_column())
+        e = tdn_edges(spark, pdf, F.lit(10))
         assert influence_spread(spark, e, []) == 0
 
     def test_cycle_terminates(self, spark):
         pdf = pd.DataFrame({"u": [1, 2, 3], "v": [2, 3, 1], "t": [1, 1, 1]})
-        e = tdn_edges(spark, pdf, ConstantLifetime(10).spark_column())
+        e = tdn_edges(spark, pdf, F.lit(10))
         assert influence_spread(spark, e, [1]) == 3
 
     def test_spread_on_time_slice(self, spark):
@@ -100,7 +92,7 @@ class TestDistributedReachability:
         pdf = pd.DataFrame(
             {"u": [1, 2, 3], "v": [2, 3, 4], "t": [1, 1, 20]}
         )
-        e = tdn_edges(spark, pdf, ConstantLifetime(5).spark_column())
+        e = tdn_edges(spark, pdf, F.lit(5))
         assert influence_spread(spark, alive_at(e, 2), [1]) == 3
         assert influence_spread(spark, alive_at(e, 21), [1]) == 1
         assert influence_spread(spark, alive_at(e, 21), [3]) == 2
@@ -111,25 +103,21 @@ class TestDistributedReachability:
         out-arcs (4 is a sink, 5 only a head) reaches just itself."""
         pairs = [(1, 2), (1, 2), (1, 2), (1, 3), (2, 3), (2, 3), (3, 4), (6, 5), (6, 5)]
         pdf = pd.DataFrame({"u": [u for u, _ in pairs], "v": [v for _, v in pairs], "t": 1})
-        e = tdn_edges(spark, pdf, ConstantLifetime(10).spark_column())
+        e = tdn_edges(spark, pdf, F.lit(10))
         g = DiGraph()
         for u, v in pairs:
             g.add_edge(u, v)
         want = g.reachable(seeds)
         assert influence_spread(spark, e, seeds) == len(want)
-        reach = reachable_nodes(spark, e, seeds)
-        assert {r["node"] for r in reach.collect()} == want
-        reach.unpersist()
+        assert reachable(e, seeds) == want
 
     def test_chain_deeper_than_max_iter_is_truncated(self, spark):
         """``max_iter`` bounds the levels past the seeds: nodes at distance
         <= max_iter are reached, the rest of the chain is not."""
         pdf = pd.DataFrame({"u": range(9), "v": range(1, 10), "t": 1})
-        e = tdn_edges(spark, pdf, ConstantLifetime(10).spark_column())
+        e = tdn_edges(spark, pdf, F.lit(10))
         assert influence_spread(spark, e, [0], max_iter=3) == 4
-        reach = reachable_nodes(spark, e, [0], max_iter=3)
-        assert sorted(r["node"] for r in reach.collect()) == [0, 1, 2, 3]
-        reach.unpersist()
+        assert reachable(e, [0], max_iter=3) == {0, 1, 2, 3}
         # The whole chain takes nine levels: a level's plan must not grow
         # with the levels before it.
         assert influence_spread(spark, e, [0]) == 10
@@ -151,7 +139,7 @@ class TestJobsPerLevel:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_influence_spread_runs_one_job_per_level(self, spark, seed):
         pdf = random_interactions(seed, n=60, n_nodes=30)
-        e = tdn_edges(spark, pdf, ConstantLifetime(1000).spark_column())
+        e = tdn_edges(spark, pdf, F.lit(1000))
         g = DiGraph()
         for u, v in zip(pdf["u"], pdf["v"]):
             g.add_edge(int(u), int(v))
@@ -179,25 +167,11 @@ class TestCacheRelease:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_influence_spread_leaves_nothing_cached(self, spark, seed):
         pdf = random_interactions(seed, n=80, n_nodes=20)
-        e = tdn_edges(spark, pdf, ConstantLifetime(1000).spark_column())
+        e = tdn_edges(spark, pdf, F.lit(1000))
         g = DiGraph()
         for u, v in zip(pdf["u"], pdf["v"]):
             g.add_edge(int(u), int(v))
         seeds = sorted(g.nodes())[:2]
         before = persisted_rdds(spark)
         assert influence_spread(spark, e, seeds) == len(g.reachable(seeds))
-        assert persisted_rdds(spark) == before
-
-    def test_reachable_nodes_caches_only_its_computed_result(self, spark):
-        pdf = pd.DataFrame({"u": [1, 2, 3, 4], "v": [2, 3, 4, 5], "t": [1, 1, 1, 1]})
-        e = tdn_edges(spark, pdf, ConstantLifetime(10).spark_column())
-        before = persisted_rdds(spark)
-        reach = reachable_nodes(spark, e, [1])
-        assert persisted_rdds(spark) == before + 1
-        # Fully computed before its levels were released, so later actions
-        # read the cache instead of rerunning the level chain.
-        cached = spark._jsparkSession.sharedState().cacheManager().lookupCachedData(reach._jdf)
-        assert cached.get().cachedRepresentation().cacheBuilder().isCachedColumnBuffersLoaded()
-        assert sorted(r["node"] for r in reach.collect()) == [1, 2, 3, 4, 5]
-        reach.unpersist()
         assert persisted_rdds(spark) == before
