@@ -1,6 +1,6 @@
 """The paper's contribution: streaming influential-node tracking.
 
-- :mod:`repro.core.sieve` — the SieveStreaming threshold sieve.
+- :mod:`repro.core.sieve` — the SieveStreaming++ threshold sieve.
 - :mod:`repro.core.sieve_adn` — SieveADN (Alg. 1): sieve over an
   addition-only dynamic interaction network.
 - :mod:`repro.core.basic_reduction` — BasicReduction (Alg. 2): L staggered

@@ -143,12 +143,15 @@ class TDNGraph:
         return dropped
 
     def add_edges(self, batch: Iterable[tuple[int, int, int]], t: int) -> None:
-        """Add ``(u, v, lifetime)`` edges arriving at time ``t``."""
+        """Add ``(u, v, lifetime)`` edges arriving at time ``t``. Raises
+        ``ValueError``, adding none of them, if a lifetime is not positive."""
+        batch = list(batch)
+        for u, v, l in batch:
+            if l <= 0:
+                raise ValueError(f"lifetime must be positive, got {l} for edge ({u}, {v})")
         for u, v, l in batch:
             if u == v:
                 continue  # no self-loops (paper §II-B)
-            if l <= 0:
-                raise ValueError(f"lifetime must be positive, got {l}")
             self.g.add_edge(u, v)
             if l < INFINITE:
                 heapq.heappush(self._expiry, (t + l, u, v))

@@ -150,6 +150,14 @@ class TestTDNGraph:
         with pytest.raises(ValueError):
             g.add_edges([(1, 2, 0)], 0)
 
+    def test_rejected_batch_adds_nothing(self):
+        g = TDNGraph()
+        g.add_edges([(5, 6, 4)], 0)
+        before = (g.n_edges, g.g.version, g.edges_with_lifetime())
+        with pytest.raises(ValueError):
+            g.add_edges([(1, 2, 3), (3, 4, 0)], 0)
+        assert (g.n_edges, g.g.version, g.edges_with_lifetime()) == before
+
     def test_time_moves_forward_only(self):
         g = TDNGraph()
         g.advance_to(5)

@@ -1,11 +1,15 @@
 """The sieve/oracle hot path against a reference sieve.
 
-:class:`ReferenceSieve` is the threshold sieve as first written: every
-``process_node`` walks all thresholds, every marginal gain runs a fresh
-BFS from the candidate and every ``best()`` takes the max anew. The
-kernel in :mod:`repro.core.sieve` and :mod:`repro.tdn.influence` must
-match it exactly — sets, Δ, best set and value, and oracle calls — on
-graphs that grow between node feeds, before and after ``copy()``.
+:class:`ReferenceSieve` is the threshold sieve as first written, with the
+SieveStreaming++ pruning added naively: every ``process_node`` walks all
+thresholds, every marginal gain runs a fresh BFS from the candidate, and
+after every Δ rise, node and refresh ``lb`` and the holder are found anew
+and the range is cut. The kernel in :mod:`repro.core.sieve` and
+:mod:`repro.tdn.influence` must match it exactly — sets, Δ, ``lb``, best
+set and value, and oracle calls — on graphs that grow between node feeds
+and refreshes, before and after ``copy()``. :class:`UnprunedSieve` is the
+same loop without the pruning (the kernel before it); the pruned kernel
+never bills more than it on a node feed.
 """
 import math
 from operator import itemgetter
@@ -30,39 +34,52 @@ class FreshBFSOracle(InfluenceOracle):
 
 
 class ReferenceSieve:
-    """The original ``ThresholdSieve`` loop, kept verbatim as the reference."""
+    """The original ``ThresholdSieve`` loop with the SieveStreaming++ rule
+    added naively: after every Δ rise, node and refresh, ``lb`` is
+    recomputed as the max over all sets and every exponent below
+    ``max(Δ, lb)`` is cut, except the holder (the max set, ties to the
+    lowest exponent), which is kept but takes no more nodes."""
 
     def __init__(self, k, eps, oracle):
         self.k, self.eps, self.oracle = k, eps, oracle
         self.delta = 0.0
+        self.lb = 0.0
         self._log1e = math.log1p(eps)
         self.sets = {}
 
     def theta(self, i):
         return (1.0 + self.eps) ** i / (2.0 * self.k)
 
+    def _low_end(self):
+        return max(self.delta, self.lb)
+
+    def _holder(self):
+        i = max(self.sets, key=lambda i: self.sets[i][1], default=None)
+        return i if i is not None and self.sets[i][0] else None
+
     def _exponent_range(self):
         if self.delta <= 0:
             return range(0)
-        lo = math.ceil(math.log(self.delta) / self._log1e - 1e-9)
+        lo = math.ceil(math.log(self._low_end()) / self._log1e - 1e-9)
         hi = math.floor(math.log(2 * self.k * self.delta) / self._log1e + 1e-9)
         return range(lo, hi + 1)
 
-    def _update_thresholds(self, singleton):
-        if singleton <= self.delta:
-            return
-        self.delta = singleton
-        valid = self._exponent_range()
-        self.sets = {i: sv for i, sv in self.sets.items() if i in valid}
+    def _prune(self):
+        self.lb = max((val for _, val in self.sets.values()), default=0.0)
+        valid, holder = self._exponent_range(), self._holder()
+        self.sets = {i: sv for i, sv in self.sets.items() if i in valid or i == holder}
         for i in valid:
             if i not in self.sets:
                 self.sets[i] = (frozenset(), 0.0)
 
     def process_node(self, v):
         f_v = self.oracle.spread((v,))
-        self._update_thresholds(f_v)
+        if f_v > self.delta:
+            self.delta = f_v
+            self._prune()
+        valid = self._exponent_range()
         for i, (s, val) in self.sets.items():
-            if len(s) >= self.k or v in s:
+            if i not in valid or len(s) >= self.k or v in s:
                 continue
             th = self.theta(i)
             if f_v < th:
@@ -70,6 +87,7 @@ class ReferenceSieve:
             gain = self.oracle.marginal_gain(s, v)
             if gain >= th:
                 self.sets[i] = (s | {v}, val + gain)
+        self._prune()
 
     def best(self, refresh=False):
         if not self.sets:
@@ -82,35 +100,59 @@ class ReferenceSieve:
                 if s not in vals:
                     vals[s] = float(self.oracle.spread(s))
                 self.sets[i] = (s, vals[s])
+            self._prune()
         s, val = max(self.sets.values(), key=lambda sv: sv[1])
         return s, val
 
     def copy(self, oracle):
-        c = ReferenceSieve(self.k, self.eps, oracle)
-        c.delta = self.delta
+        c = type(self)(self.k, self.eps, oracle)
+        c.delta, c.lb = self.delta, self.lb
         c.sets = dict(self.sets)
         return c
 
 
+class UnprunedSieve(ReferenceSieve):
+    """SieveStreaming without the ++ rule, as first written: the range's
+    lower end is Δ and nothing below it is kept."""
+
+    def _low_end(self):
+        return self.delta
+
+    def _holder(self):
+        return None
+
+
 def assert_same(new: ThresholdSieve, ref: ReferenceSieve) -> None:
     assert new.delta == ref.delta
+    assert new.lb == ref.lb
     assert new.sets == ref.sets
     assert list(new.sets) == list(ref.sets)  # same (ascending) key order
     assert new.best() == ref.best()
     assert new.oracle.oracle_calls == ref.oracle.oracle_calls
 
 
-def grow_and_feed(rng, new, ref, graphs, n_nodes: int, rounds: int) -> None:
-    """Add the same random edge to both graphs, then feed both sieves the
-    same random nodes, comparing them after every feed."""
+def random_rounds(rng, n_nodes: int, rounds: int):
+    """Per round: a random edge (None when it would be a self-loop) and
+    three random nodes to feed."""
     for _ in range(rounds):
         u, v = (int(x) for x in rng.integers(0, n_nodes, 2))
-        if u != v:
+        yield ((u, v) if u != v else None), [int(x) for x in rng.integers(0, n_nodes, 3)]
+
+
+def grow_and_feed(rng, new, ref, graphs, n_nodes: int, rounds: int) -> None:
+    """Add the same random edge to both graphs, then feed both sieves the
+    same random nodes, comparing them after every feed and after a
+    refresh every fifth round."""
+    for r, (edge, nodes) in enumerate(random_rounds(rng, n_nodes, rounds), start=1):
+        if edge:
             for g in graphs:
-                g.add_edge(u, v)
-        for w in (int(x) for x in rng.integers(0, n_nodes, 3)):
+                g.add_edge(*edge)
+        for w in nodes:
             new.process_node(w)
             ref.process_node(w)
+            assert_same(new, ref)
+        if r % 5 == 0:
+            assert new.best(refresh=True) == ref.best(refresh=True)
             assert_same(new, ref)
 
 
@@ -140,7 +182,8 @@ def test_matches_reference_on_growing_graph(seed, k, eps):
 
 
 class TestBestCache:
-    """``best()`` caches the unrefreshed max; every write to ``sets`` clears it."""
+    """``best()`` returns the holder, the unrefreshed max; every write to
+    ``sets`` keeps it current."""
 
     @staticmethod
     def star_sieve():
@@ -160,8 +203,11 @@ class TestBestCache:
 
     def test_cleared_by_delta_rise(self):
         _, sv = self.star_sieve()
-        sv._update_thresholds(1000.0)  # every old exponent drops out
-        assert sv.best() == (frozenset(), 0.0)
+        holder = min(sv.sets)  # {0} sits at every exponent; ties go lowest
+        sv._update_thresholds(1000.0)  # every old exponent but the holder's drops out
+        assert list(sv.sets) == [holder, *sv._exponent_range()]
+        assert sv.best() == (frozenset({0}), 5.0)
+        assert sv.best() == max(sv.sets.values(), key=itemgetter(1))
 
     def test_cleared_by_refresh(self):
         g, sv = self.star_sieve()
@@ -180,3 +226,81 @@ class TestBestCache:
         assert c.best() == (frozenset({0, 9}), 9.0)
         assert sv.best() == (frozenset({0}), 5.0)
         assert sv.best() == max(sv.sets.values(), key=itemgetter(1))
+
+
+def fed_sieve_states(seed: int, k: int, eps: float, rounds: int = 60):
+    """Yield a kernel sieve after every feed and every refresh (each fifth
+    round) on a random growing graph."""
+    rng = np.random.default_rng(seed)
+    g = DiGraph()
+    sv = ThresholdSieve(k, eps, InfluenceOracle(g))
+    for r, (edge, nodes) in enumerate(random_rounds(rng, 25, rounds), start=1):
+        if edge:
+            g.add_edge(*edge)
+        for w in nodes:
+            sv.process_node(w)
+            yield sv
+        if r % 5 == 0:
+            sv.best(refresh=True)
+            yield sv
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("k,eps", [(1, 0.1), (3, 0.1), (4, 0.3)])
+class TestPruning:
+    """SieveStreaming++: the range's lower end only rises, so what is cut
+    stays cut, and the set holding ``lb`` survives every cut."""
+
+    def test_cut_exponent_never_returns(self, seed, k, eps):
+        seen: set[int] = set()
+        cut: set[int] = set()
+        for sv in fed_sieve_states(seed, k, eps):
+            keys = set(sv.sets)
+            cut |= seen - keys
+            assert not cut & keys
+            seen |= keys
+
+    def test_holder_never_dropped(self, seed, k, eps):
+        lb, holder, closed = 0.0, None, None
+        for sv in fed_sieve_states(seed, k, eps):
+            assert sv.lb >= lb  # lb only rises ...
+            # ... and a cut keeps the holder
+            assert sv.lb > lb or holder is None or holder in sv.sets
+            lb, (s, val) = sv.lb, sv.best()
+            assert val == lb == max(v for _, v in sv.sets.values())
+            holder = next((i for i, sv_i in sv.sets.items() if sv_i == (s, val)), None)
+            # Only the holder may sit below the range, and there it takes no nodes.
+            below = [i for i in sv.sets if i < sv._exponent_range().start]
+            assert below in ([], [holder])
+            if below and closed is not None and closed[0] == holder:
+                assert sv.sets[holder][0] == closed[1]
+            closed = (holder, s) if below else None
+
+    def test_bills_no_more_than_unpruned(self, seed, k, eps):
+        """Every feed bills at most what the unpruned sieve bills: the open
+        sets are the unpruned sieve's sets at the kept exponents, with the
+        same members. A refresh may bill one more, for the closed holder,
+        which the unpruned sieve can have cut or grown past."""
+        rng = np.random.default_rng(seed)
+        g_new, g_old = DiGraph(), DiGraph()
+        new = ThresholdSieve(k, eps, InfluenceOracle(g_new))
+        old = UnprunedSieve(k, eps, FreshBFSOracle(g_old))
+
+        def billed(op):
+            a, b = new.oracle.oracle_calls, old.oracle.oracle_calls
+            op(new)
+            op(old)
+            return new.oracle.oracle_calls - a, old.oracle.oracle_calls - b
+
+        for edge, nodes in random_rounds(rng, 25, 60):
+            if edge:
+                g_new.add_edge(*edge)
+                g_old.add_edge(*edge)
+            for w in nodes:
+                n_new, n_old = billed(lambda sv: sv.process_node(w))
+                assert n_new <= n_old
+                for i, (s, _) in new.sets.items():
+                    if i in new._exponent_range():
+                        assert s == old.sets[i][0]
+            n_new, n_old = billed(lambda sv: sv.best(refresh=True))
+            assert n_new <= n_old + 1
