@@ -2,11 +2,13 @@
 addition-only dynamic interaction network.
 
 The instance owns an ADN — a :class:`DiGraph` that only accumulates edges
-— and a :class:`ThresholdSieve`. For each arriving batch it computes the
-*affected nodes* ``V̄_t`` (every node whose influence spread may have
-changed: all nodes that can reach a new edge's source, plus both
-endpoints; Theorem 2's proof needs exactly the nodes whose marginal gain
-could have increased to be re-fed) and pushes them through the sieve.
+— its transitive closure (a :class:`ReachClosure`, which is the sieve's
+oracle) and a :class:`ThresholdSieve`. For each arriving batch it computes
+the *affected nodes* ``V̄_t`` (every node whose influence spread may have
+changed: all nodes that can reach a new edge's source but not its target,
+plus a brand-new target; Theorem 2's proof needs exactly the nodes whose
+marginal gain could have increased to be re-fed), updates the closure from
+them and pushes them through the sieve.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from typing import Iterable
 
 from repro.core.sieve import ThresholdSieve
 from repro.tdn.graph import DiGraph
-from repro.tdn.influence import CallCounter, InfluenceOracle
+from repro.tdn.influence import CallCounter, ReachClosure
 
 
 class SieveADN:
@@ -25,7 +27,7 @@ class SieveADN:
         self.eps = eps
         self.counter = counter if counter is not None else CallCounter()
         self.graph = DiGraph()
-        self.oracle = InfluenceOracle(self.graph, self.counter)
+        self.oracle = ReachClosure(self.counter)
         self.sieve = ThresholdSieve(k, eps, self.oracle)
 
     def process_batch(self, edges: Iterable[tuple[int, int]]) -> set[int]:
@@ -35,20 +37,21 @@ class SieveADN:
         ``u`` but not ``v`` *before* the insert — so per edge the exact
         affected set is ``revReach(u) \\ revReach(v)`` on the pre-insert
         graph, plus ``v`` itself when it is a brand-new node (its spread
-        appears). Repeat interactions (``v`` already reachable from every
+        appears). Those same nodes are the ones whose closure masks gain
+        ``v``'s. Repeat interactions (``v`` already reachable from every
         ancestor of ``u``) therefore cost nothing, which is why the
         paper's ``b`` stays small on real streams. Returns ``V̄_t``.
         """
         affected: set[int] = set()
+        graph = self.graph
         for u, v in edges:
             if u == v:
                 continue
-            r_u = self.graph.reverse_reachable((u,))
-            r_v = self.graph.reverse_reachable((v,))
-            changed = r_u - r_v
-            if v not in self.graph.out and v not in self.graph.in_:
+            changed = graph.reverse_reachable((u,)) - graph.reverse_reachable((v,))
+            self.oracle.add_edge(u, v, changed)
+            if v not in graph.out and v not in graph.in_:
                 changed.add(v)  # new node: spread went from absent to 1
-            self.graph.add_edge(u, v)
+            graph.add_edge(u, v)
             affected |= changed
         # Deterministic feed order — node ids ascending.
         for v in sorted(affected):
@@ -73,6 +76,6 @@ class SieveADN:
         c = SieveADN.__new__(SieveADN)
         c.k, c.eps, c.counter = self.k, self.eps, self.counter
         c.graph = self.graph.copy()
-        c.oracle = InfluenceOracle(c.graph, self.counter)
+        c.oracle = self.oracle.copy()
         c.sieve = self.sieve.copy(c.oracle)
         return c

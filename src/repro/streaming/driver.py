@@ -40,10 +40,17 @@ def write_stream_chunks(
     pdf: pd.DataFrame, out_dir: str, n_chunks: int
 ) -> list[str]:
     """Split an interaction frame (``u, v, t``; already time-ordered) into
-    ``n_chunks`` contiguous parquet files with monotone mtimes."""
+    at most ``n_chunks`` contiguous parquet files with monotone mtimes.
+
+    Chunks are cut only between time steps, so all rows of one ``t`` land
+    in one chunk: each cut at an equal share of the rows moves back to the
+    first row of its step, and a chunk left empty is not written. With one
+    row per ``t`` every cut stays where the row count puts it."""
     os.makedirs(out_dir, exist_ok=True)
     pdf = pdf.sort_values("t", kind="stable").reset_index(drop=True)
+    t = pdf["t"].to_numpy()
     bounds = [round(i * len(pdf) / n_chunks) for i in range(n_chunks + 1)]
+    bounds = [int(t.searchsorted(t[b])) if b < len(t) else b for b in bounds]
     paths = []
     now = time.time()
     for i in range(n_chunks):

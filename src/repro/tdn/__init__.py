@@ -8,7 +8,8 @@ lifetime ``l in {1..L}``; at time ``t`` the edge is alive iff
   (geometric / constant / infinite).
 - :mod:`repro.tdn.graph` — driver-side multigraph with scheduled expiry and
   BFS reachability.
-- :mod:`repro.tdn.influence` — counting influence-spread oracle ``f_t``.
+- :mod:`repro.tdn.influence` — counting influence-spread oracles ``f_t``:
+  a BFS over any graph, and the reach closure of a graph that only grows.
 - :mod:`repro.tdn.spark_graph` — edges-DataFrame TDN with a
   level-synchronous BFS influence spread (frontier on the driver).
 """

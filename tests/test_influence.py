@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.tdn.graph import DiGraph
-from repro.tdn.influence import CallCounter, InfluenceOracle, brute_force_opt
+from repro.tdn.influence import CallCounter, InfluenceOracle, ReachClosure, brute_force_opt
 
 
 def chain_graph(n: int) -> DiGraph:
@@ -106,6 +106,56 @@ class TestOracle:
         for v in nodes[4:8]:
             assert o.marginal_gain(s, v) >= o.marginal_gain(t, v)  # submodular
         assert o.spread(t) >= o.spread(s)  # monotone
+
+
+def chain_closure(n: int, counter: CallCounter | None = None) -> ReachClosure:
+    """The closure of ``chain_graph(n)``, built by reporting each insert
+    with the nodes that reached its source but not its target."""
+    c = ReachClosure(counter)
+    for i in range(n - 1):
+        c.add_edge(i, i + 1, set(range(i + 1)))
+    return c
+
+
+class TestReachClosure:
+    def test_spread_counts_reachable(self):
+        c = chain_closure(5)
+        assert c.spread((0,)) == 5
+        assert c.spread((4,)) == 1
+        assert c.spread((2, 3)) == 3
+        assert c.spread(()) == 0
+
+    def test_unseen_nodes_reach_only_themselves(self):
+        c = chain_closure(3)
+        assert c.spread((99,)) == 1
+        assert c.spread((0, 99, 98)) == 5
+        assert c.marginal_gain(frozenset((0,)), 99) == 1
+        assert c.marginal_gain(frozenset((99,)), 99) == 0
+        assert c.marginal_gain(frozenset((99,)), 1) == 2
+        assert 99 not in c.reach
+
+    def test_same_answers_and_billing_as_bfs_oracle(self):
+        g, c = chain_graph(6), chain_closure(6, CallCounter())
+        o = InfluenceOracle(g, CallCounter())
+        for base in [frozenset(), frozenset((0,)), frozenset((4,)), frozenset((2, 7))]:
+            for v in range(8):
+                assert c.marginal_gain(base, v) == o.marginal_gain(base, v)
+                assert c.spread(base | {v}) == o.spread(base | {v})
+        assert c.counter.calls == o.oracle_calls == 64
+
+    def test_cached_union_dropped_when_a_mask_grows(self):
+        c = chain_closure(3)
+        base = frozenset((1,))
+        assert c.marginal_gain(base, 0) == 1
+        c.add_edge(2, 5, {0, 1, 2})
+        assert c.marginal_gain(base, 0) == 1 and c.spread(base) == 3
+
+    def test_copy_is_independent(self):
+        c = chain_closure(3)
+        d = c.copy()
+        d.add_edge(2, 3, {0, 1, 2})
+        assert c.spread((0,)) == 3 and d.spread((0,)) == 4
+        assert c.counter is d.counter and c.counter.calls == 2
 
 
 class TestBruteForce:

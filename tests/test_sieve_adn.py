@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.sieve_adn import SieveADN
 from repro.tdn.graph import DiGraph
-from repro.tdn.influence import CallCounter, brute_force_opt
+from repro.tdn.influence import CallCounter, InfluenceOracle, brute_force_opt
 
 
 def random_batches(seed: int, n_batches: int = 12, n_nodes: int = 16):
@@ -94,3 +94,79 @@ class TestApproximation:
         s, _ = a.solution(refresh=True)
         assert s == frozenset((0,))
         assert len(a.graph.reachable(s)) == 8
+
+
+def closure_sets(a: SieveADN) -> dict[int, set[int]]:
+    """The closure of ``a`` as node -> reached nodes. Bits are handed out
+    in first-sight order, so bit ``i`` is the ``i``-th key of the map."""
+    order = list(a.oracle.reach)
+    return {x: {order[i] for i in range(len(order)) if m >> i & 1} for x, m in a.oracle.reach.items()}
+
+
+def growing_batches(rng, n_batches: int, n_nodes: int):
+    """Small node range (so cycles and parallel edges are common), with
+    self-loops and repeats of earlier edges mixed in."""
+    seen: list[tuple[int, int]] = []
+    for _ in range(n_batches):
+        batch = []
+        for _ in range(int(rng.integers(1, 5))):
+            r = rng.random()
+            if r < 0.1:
+                u = int(rng.integers(0, n_nodes))
+                batch.append((u, u))
+            elif r < 0.25 and seen:
+                batch.append(seen[int(rng.integers(0, len(seen)))])
+            else:
+                batch.append(tuple(int(x) for x in rng.integers(0, n_nodes, 2)))
+        seen.extend(batch)
+        yield batch
+
+
+class TestClosure:
+    """The sieve's oracle is the instance's transitive closure, kept up by
+    ``process_batch``; it must answer and bill exactly as a BFS would."""
+
+    def check(self, a: SieveADN, rng, n_nodes: int) -> None:
+        g = a.graph
+        assert set(a.oracle.reach) == g.nodes()
+        for x, reached in closure_sets(a).items():
+            assert reached == g.reachable((x,)), x
+        ref = InfluenceOracle(g, CallCounter())
+        queries = list(range(n_nodes + 3))  # the last three are never seen
+        for _ in range(20):
+            base = frozenset(int(x) for x in rng.choice(queries, int(rng.integers(0, 4)), replace=False))
+            v = int(rng.choice(queries))
+            calls, ref_calls = a.counter.calls, ref.counter.calls
+            assert a.oracle.spread(base) == ref.spread(base)
+            assert a.oracle.spread((v,)) == ref.spread((v,))
+            assert a.oracle.marginal_gain(base, v) == ref.marginal_gain(base, v)
+            assert a.counter.calls - calls == ref.counter.calls - ref_calls == 3
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_masks_and_answers_match_bfs_after_every_batch(self, seed):
+        rng = np.random.default_rng(seed)
+        n_nodes = int(rng.integers(4, 20))
+        a = SieveADN(3, 0.1)
+        copies: list[SieveADN] = []
+        for i, batch in enumerate(growing_batches(rng, 25, n_nodes)):
+            for inst in [a] + copies:
+                inst.process_batch(batch if inst is a else batch[::-1][1:])
+                self.check(inst, rng, n_nodes)
+            if i in (5, 12):
+                copies.append(a.copy())
+
+    def test_copies_diverge(self):
+        a = SieveADN(2, 0.1)
+        a.process_batch([(1, 2)])
+        b = a.copy()
+        b.process_batch([(2, 3)])
+        a.process_batch([(2, 4), (4, 1)])
+        assert closure_sets(a) == {1: {1, 2, 4}, 2: {1, 2, 4}, 4: {1, 2, 4}}
+        assert closure_sets(b) == {1: {1, 2, 3}, 2: {2, 3}, 3: {3}}
+
+    def test_repeated_edge_leaves_closure_as_is(self):
+        a = SieveADN(2, 0.1)
+        a.process_batch([(1, 2), (2, 3)])
+        reach = dict(a.oracle.reach)
+        assert a.process_batch([(1, 2), (1, 3)]) == set()
+        assert a.oracle.reach == reach and a.graph.n_edges == 4

@@ -6,6 +6,7 @@ import pandas as pd
 import pytest
 
 from repro.core.histapprox import HistApprox
+from repro.experiments.datasets import make_stream
 from repro.oracle import assert_equivalent
 from repro.streaming.driver import replay_stream, stream_steps, write_stream_chunks
 from repro.streaming.windowed_stats import (
@@ -43,6 +44,46 @@ class TestWriteChunks:
         paths = write_stream_chunks(pdf, str(tmp_path / "s"), 10)
         back = pd.concat([pd.read_parquet(p) for p in paths], ignore_index=True)
         assert len(back) == 3
+
+    @pytest.mark.parametrize("n_chunks", range(1, 13))
+    def test_one_row_per_t_cuts_by_row_count(self, tmp_path, n_chunks):
+        pdf = make_stream("brightkite", 100)
+        paths = write_stream_chunks(pdf, str(tmp_path / "s"), n_chunks)
+        bounds = [round(i * len(pdf) / n_chunks) for i in range(n_chunks + 1)]
+        assert [len(pd.read_parquet(p)) for p in paths] == [
+            hi - lo for lo, hi in zip(bounds, bounds[1:]) if hi > lo
+        ]
+
+    @pytest.mark.parametrize("n_chunks", range(1, 13))
+    def test_step_never_split_and_chunked_feed_equals_direct(self, tmp_path, n_chunks):
+        """Several rows per ``t`` (two, then one to four): every ``t`` sits
+        in one chunk, and feeding the chunks one by one through
+        ``stream_steps`` into ``HistApprox.step(edges, t)`` gives the
+        direct feed's answers."""
+        two = make_stream("brightkite", 200)
+        two = two.assign(t=(two["t"] + 1) // 2)
+        mixed = make_stream("brightkite", 150, seed=3)
+        mixed = mixed.assign(t=np.sort(np.random.default_rng(3).integers(1, 61, len(mixed))))
+
+        def lifetimed(pdf):
+            return pdf.assign(l=1 + (7 * pdf["u"] + 13 * pdf["v"] + pdf["t"]) % 30)
+
+        for name, stream in (("two", two), ("mixed", mixed)):
+            direct = HistApprox(k=5, eps=0.2, L=30)
+            want = [(t, direct.step(edges, t)) for t, edges in stream_steps(lifetimed(stream))]
+
+            paths = write_stream_chunks(stream, str(tmp_path / name), n_chunks)
+            chunks = [pd.read_parquet(p) for p in paths]
+            assert len(paths) <= n_chunks
+            for a, b in zip(chunks, chunks[1:]):
+                assert a["t"].max() < b["t"].min(), name
+            fed = HistApprox(k=5, eps=0.2, L=30)
+            got = [
+                (t, fed.step(edges, t))
+                for chunk in chunks
+                for t, edges in stream_steps(lifetimed(chunk))
+            ]
+            assert got == want, name
 
 
 class TestStreamSteps:
